@@ -207,13 +207,12 @@ def cmd_certify(args):
     pf = _as_pfraction(obj, J + 1, args.degree_cap)
     deep = 4 * J  # deep-truncation surrogate for the operator m-function
     pf = _extend_cyclic(pf, deep + 2)
-    seqs = polyrec.generate(pf, J + 1)
     H = gjmatrix.assemble(pf)
     try:
         m_value = gjmatrix.m_truncation(H, deep, lam)
     except PoleAtLambda as exc:
         raise CliError(EXIT_POLE, str(exc))
-    cert = spectral.resolvent_certificate(seqs, lam, m_value, J)
+    cert = spectral.resolvent_certificate(pf, lam, m_value, J)
     _write(args, cert.to_json())
     return EXIT_OK
 
@@ -268,8 +267,6 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default=None,
-                   help="informational; each command has one native format")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("expand", help="moments JSON -> P-fraction JSON")

@@ -18,7 +18,6 @@ from .errors import (BadRange, NotMonic, OutOfRange, PoleAtLambda,
                      SupportTooWide, TruncationTooShallow)
 from .pfraction import PFraction
 from .poly import Polynomial
-from . import polyrec
 
 
 @dataclass(frozen=True)
@@ -78,10 +77,6 @@ class GramMetric:
             G[off:off + k, off:off + k] = [[float(v) for v in row] for row in b]
             off += k
         return G
-
-    def inverse_dense(self, eps, n_blocks=None):
-        """G^{-1} is block-diagonal with blocks eps_j * E_{p_j} (no solve)."""
-        raise NotImplementedError  # kept on GJMatrix where E is available
 
 
 @dataclass(frozen=True)
@@ -266,50 +261,34 @@ def _hessenberg_charpoly(A):
 # -- m-functions ------------------------------------------------------
 
 def m_truncation(H: GJMatrix, j: int, lam) -> complex:
-    """m-function of H_[0,j]: -Qhat_{j+1}(lam)/Phat_{j+1}(lam)."""
+    """m-function of H_[0,j], -Qhat_{j+1}(lam)/Phat_{j+1}(lam), as -F_0."""
     if not 0 <= j < H.n_blocks:
         raise OutOfRange(f"j={j} outside [0, {H.n_blocks - 1}]")
-    seqs = polyrec.generate(H.source, j + 1)
-    P, Q = seqs.Phat[j + 1], seqs.Qhat[j + 1]
-    pair = _exact_ratio(Q, P, lam)
-    if pair is not None:
-        return pair
-    den = complex(P.as_float()(complex(lam)))
-    num = complex(Q.as_float()(complex(lam)))
-    if abs(den) <= 1e-13 * max(1.0, abs(lam)) ** P.degree:
-        raise PoleAtLambda(f"lambda={lam} is an eigenvalue of H_[0,{j}]")
-    return -num / den
+    return -_continued_fraction(H.source.terms[:j + 1], lam)
 
 
-def _exact_ratio(num: Polynomial, den: Polynomial, lam):
-    """-num(lam)/den(lam) over exact rationals, or None if not applicable.
+def _continued_fraction(terms, lam) -> complex:
+    """F_0 of F_i = eps_i / (p_i(lam) - eps_i b_i^2 F_{i+1}), F past the end 0.
 
-    Deep truncations have huge alternating coefficients; float Horner can
-    lose many digits there, so exact polynomials are evaluated over rational
-    real/imaginary parts and rounded only at the end.
+    Evaluated backward (Gautschi's stable direction for the minimal
+    solution).  A zero denominator at an inner level i makes F_{i-1}
+    exactly 0; a denominator within the scaled tolerance at level 0
+    means lam is an eigenvalue of the truncation.
     """
-    if not all(isinstance(c, (int, Fraction))
-               for p in (num, den) for c in p.coeffs):
-        return None
     lam = complex(lam)
-    try:
-        re, im = Fraction(lam.real), Fraction(lam.imag)
-    except (OverflowError, ValueError):
-        return None
-
-    def horner(p):
-        ar, ai = Fraction(0), Fraction(0)
-        for c in reversed(p.coeffs):
-            ar, ai = ar * re - ai * im + c, ar * im + ai * re
-        return ar, ai
-
-    dr, di = horner(den)
-    if dr == 0 and di == 0:
-        raise PoleAtLambda(f"lambda={lam} is a root of the truncation charpoly")
-    nr, ni = horner(num)
-    d2 = dr * dr + di * di
-    return complex(float(-(nr * dr + ni * di) / d2),
-                   float(-(ni * dr - nr * di) / d2))
+    f, i = 0j, len(terms) - 1
+    while i >= 0:
+        t = terms[i]
+        p = complex(t.p.as_float()(lam))
+        tail = t.epsilon * float(t.b_squared) * f if f else 0j
+        den = p - tail
+        if i == 0 and abs(den) <= 1e-13 * max(1.0, abs(p), abs(tail)):
+            raise PoleAtLambda(f"lambda={lam} is an eigenvalue of the truncation")
+        if den == 0:  # F_i is infinite, so F_{i-1} = 0
+            f, i = 0j, i - 2
+        else:
+            f, i = t.epsilon / den, i - 1
+    return f
 
 
 def riccati_defect(H: GJMatrix, j: int, lam) -> float:
@@ -317,8 +296,7 @@ def riccati_defect(H: GJMatrix, j: int, lam) -> float:
     if H.n_blocks < 2 or j < 1:
         raise OutOfRange("Riccati step needs at least two blocks and j >= 1")
     m0 = m_truncation(H, j, lam)
-    shifted = assemble(H.source.shifted(1))
-    m1 = m_truncation(shifted, j - 1, lam)
+    m1 = -_continued_fraction(H.source.terms[1:j + 1], lam)
     t0 = H.source[0]
     den = complex(t0.p.as_float()(complex(lam))) + t0.epsilon * float(t0.b_squared) * m1
     if abs(den) <= 1e-300:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InsufficientMoments, OutOfRange, PoleAtLambda
 from .moments import MomentSequence
-from .poly import Polynomial, poly_gcd
+from .poly import Polynomial
 from .polyrec import OrthoSequences
 from .series import series_inv, series_mul
 
@@ -42,14 +42,15 @@ class PadeApproximant:
 
 
 def diagonal(seqs: OrthoSequences, j: int) -> PadeApproximant:
-    """The [n_j/n_j] diagonal approximant -Qhat_j/Phat_j."""
+    """The [n_j/n_j] diagonal approximant -Qhat_j/Phat_j.
+
+    Consecutive recurrence polynomials are coprime (see coprimality_check),
+    so the pair is already in lowest terms.
+    """
     if j < 1:
         raise OutOfRange("diagonal approximants start at j=1")
     seqs.check_range(j)
     num, den = -seqs.Qhat[j], seqs.Phat[j]
-    g = poly_gcd(num, den)
-    if g.degree > 0:  # never for recurrence output; kept for foreign pairs
-        num, den = num.exact_div(g), den.exact_div(g)
     pf = seqs.source
     k_next = pf[j].degree if j < len(pf) else None
     return PadeApproximant(numerator=num, denominator=den, order=den.degree,

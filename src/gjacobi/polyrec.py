@@ -3,7 +3,8 @@
 All exact work lives in the monic-scaled sequences Phat_j, Qhat_j, which obey
 uhat_{j+1} = p_j uhat_j - eps_{j-1} eps_j b_{j-1}^2 uhat_{j-1} and involve
 only b^2.  The normalized P_j, Q_j (each Phat_j, Qhat_j divided by
-b_0...b_{j-1}) exist only as float views, taken when evaluating.
+b_0...b_{j-1}) exist only as float values, computed by the recurrence sweep
+of normalized_values without expanding any polynomial.
 """
 
 from __future__ import annotations
@@ -83,14 +84,30 @@ def generate(pf: PFraction, j_max: int) -> OrthoSequences:
     return OrthoSequences(tuple(Phat), tuple(Qhat), tuple(prods), pf)
 
 
-def eval_normalized(seqs: OrthoSequences, j: int, lam):
-    """(P_j(lam), Q_j(lam)) divided by sqrt(prod b_i^2), float/complex."""
-    seqs.check_range(j)
-    if seqs.b2_products[j] is None:
-        raise OutOfRange(f"normalization of index {j} needs coupling b_{j - 1}")
-    root = math.sqrt(float(seqs.b2_products[j]))
-    return (complex(seqs.Phat[j](complex(lam))) / root,
-            complex(seqs.Qhat[j](complex(lam))) / root)
+def normalized_values(pf: PFraction, lam, J: int):
+    """Lists (P_0..P_J, Q_0..Q_J) at lam by one forward sweep (float/complex).
+
+    P_{j+1} = (p_j(lam) P_j - eps_{j-1} eps_j b_{j-1} P_{j-1}) / b_j, the
+    same for Q, started from P_{-1} = 0, P_0 = 1, Q_{-1} = -1, Q_0 = 0 (with
+    eps_{-1} b_{-1} = 1).  No polynomial is expanded, so the growing values
+    keep their relative accuracy at any depth.
+    """
+    if not 0 <= J <= len(pf):
+        raise OutOfRange(f"j={J} outside the term range [0, {len(pf)}]")
+    lam = complex(lam)
+    P, Q = [0j, 1 + 0j], [-1 + 0j, 0j]
+    eps_prev, b_prev = 1, 1.0
+    for j in range(J):
+        term = pf[j]
+        if term.b_squared is None:
+            raise OutOfRange(f"normalization of index {j + 1} needs coupling b_{j}")
+        b = math.sqrt(float(term.b_squared))
+        pj = complex(term.p.as_float()(lam))
+        c = eps_prev * term.epsilon * b_prev
+        P.append((pj * P[-1] - c * P[-2]) / b)
+        Q.append((pj * Q[-1] - c * Q[-2]) / b)
+        eps_prev, b_prev = term.epsilon, b
+    return P[1:], Q[1:]
 
 
 def single_transfer(term) -> TransferMatrix:
@@ -135,10 +152,9 @@ def lo_defect(seqs: OrthoSequences, j: int, lam) -> float:
             dr = term.epsilon * wr / prods - 1
             di = term.epsilon * wi / prods
             return abs(complex(float(dr), float(di)))
-    pj, qj = eval_normalized(seqs, j, lam)
-    pj1, qj1 = eval_normalized(seqs, j + 1, lam)
+    P, Q = normalized_values(seqs.source, lam, j + 1)
     b = math.sqrt(float(term.b_squared))
-    return abs(term.epsilon * b * (qj1 * pj - qj * pj1) - 1.0)
+    return abs(term.epsilon * b * (Q[j + 1] * P[j] - Q[j] * P[j + 1]) - 1.0)
 
 
 def lo_polynomial_residual(seqs: OrthoSequences, j: int) -> Polynomial:

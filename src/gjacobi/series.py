@@ -19,20 +19,18 @@ def series_mul(a, b, n):
 
 
 def series_inv(c, n):
-    """First n coefficients of 1/c by Newton iteration; needs c[0] != 0.
+    """First n coefficients of 1/c by long division; needs c[0] != 0.
 
-    Doubles the number of correct terms per step: y <- y*(2 - c*y).
+    y_k = -(c_1 y_{k-1} + ... + c_k y_0) / c_0, O(n^2) in all.
     """
     if not c or not c[0]:
         raise ZeroDivisionError("series has no reciprocal: constant term is zero")
-    one = c[0] / c[0]
-    y = [one / c[0]]
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        cy = series_mul(c[:prec], y, prec)
-        # 2 - c*y
-        corr = [-v for v in cy]
-        corr[0] += 2 * one
-        y = series_mul(y, corr, prec)
+    inv0 = 1 / c[0]
+    y = [inv0]
+    for k in range(1, n):
+        acc = 0
+        for i in range(1, min(k, len(c) - 1) + 1):
+            if c[i]:
+                acc += c[i] * y[k - i]
+        y.append(-acc * inv0)
     return y[:n]

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import BadIndex, OutOfRange, TruncationTooShallow
 from .gjmatrix import GJMatrix
-from .polyrec import OrthoSequences, eval_normalized
+from .pfraction import PFraction
+from .polyrec import normalized_values
 
 DIVERGENT = "divergent"
 BOUNDED = "bounded_so_far"
@@ -35,25 +36,19 @@ class WeylData:
     max_recurrence_residual: float
 
 
-def weyl_solution(seqs: OrthoSequences, lam, m_value, J) -> WeylData:
+def weyl_solution(pf: PFraction, lam, m_value, J) -> WeylData:
     """Combination W_j = Q_j(lam) + m_value P_j(lam), with residual check.
 
     The residual of eps_{j-1} eps_j b_{j-1} W_{j-1} - p_j W_j + b_j W_{j+1}
     is recorded relative to the magnitude of its largest term.
     """
-    seqs.check_range(J)
     lam = complex(lam)
     m = complex(m_value)
-    W = []
-    for j in range(J + 1):
-        p, q = eval_normalized(seqs, j, lam)
-        W.append(q + m * p)
-    pf = seqs.source
+    P, Q = normalized_values(pf, lam, J)
+    W = [q + m * p for p, q in zip(P, Q)]
     worst = 0.0
     for j in range(1, J):
         prev, cur = pf[j - 1], pf[j]
-        if cur.b_squared is None:
-            break
         b_prev = math.sqrt(float(prev.b_squared))
         b_cur = math.sqrt(float(cur.b_squared))
         t1 = prev.epsilon * cur.epsilon * b_prev * W[j - 1]
@@ -65,7 +60,7 @@ def weyl_solution(seqs: OrthoSequences, lam, m_value, J) -> WeylData:
                     max_recurrence_residual=worst)
 
 
-def point_spectrum_test(seqs: OrthoSequences, lam, J, threshold=0.05) -> str:
+def point_spectrum_test(pf: PFraction, lam, J, threshold=0.05) -> str:
     """Eigenvalue probe: does sum |P_j(lam)|^2 look divergent at depth J?
 
     "divergent" when the terms grow monotonically by a factor above
@@ -73,9 +68,8 @@ def point_spectrum_test(seqs: OrthoSequences, lam, J, threshold=0.05) -> str:
     """
     if J < 2:
         raise OutOfRange("need J >= 2")
-    seqs.check_range(J)
-    lam = complex(lam)
-    terms = [abs(eval_normalized(seqs, j, lam)[0]) ** 2 for j in range(J + 1)]
+    P, _ = normalized_values(pf, lam, J)
+    terms = [abs(p) ** 2 for p in P]
     tail = terms[J // 2:]
     grows = all(b > (1.0 + threshold) * a for a, b in zip(tail, tail[1:]))
     return DIVERGENT if grows else BOUNDED
@@ -102,7 +96,7 @@ class Certificate:
         })
 
 
-def resolvent_certificate(seqs: OrthoSequences, lam, m_value, J) -> Certificate:
+def resolvent_certificate(pf: PFraction, lam, m_value, J) -> Certificate:
     """Fit C, q on depths up to 2J/3 and test the envelope on the rest.
 
     certified_decay: q < 1, the deep-third envelope holds, and
@@ -111,16 +105,10 @@ def resolvent_certificate(seqs: OrthoSequences, lam, m_value, J) -> Certificate:
     """
     if J < 4:
         raise OutOfRange("need J >= 4")
-    seqs.check_range(J)
     lam = complex(lam)
-    P, W = [], []
-    m = complex(m_value)
-    for j in range(J + 1):
-        p, q = eval_normalized(seqs, j, lam)
-        P.append(p)
-        W.append(q + m * p)
-    W = _stabilized_weyl(seqs, lam, m, J, P, W)
-    n = [seqs.source.normal_index(j) for j in range(J + 1)]
+    P, Q = normalized_values(pf, lam, J)
+    W = _stabilized_weyl(pf, lam, complex(m_value), P, Q)
+    n = [pf.normal_index(j) for j in range(J + 1)]
     fit_hi = max(2, (2 * J) // 3)
     C = max(abs(P[i]) * abs(W[j])
             for j in range(fit_hi + 1) for i in range(j + 1))
@@ -159,15 +147,16 @@ def resolvent_certificate(seqs: OrthoSequences, lam, m_value, J) -> Certificate:
                        verdict=verdict, limsup_root=limsup)
 
 
-def _stabilized_weyl(seqs, lam, m, J, P, W_direct):
-    """Deep-index W_j values safe from the cancellation in Q_j + m P_j.
+def _stabilized_weyl(pf, lam, m, P, Q):
+    """W_j for j < len(P), safe from the cancellation in Q_j + m P_j at depth.
 
     The direct combination loses all digits once |W_j| drops below the
     rounding noise of its terms.  A backward (minimal-solution) recurrence
     from well past J avoids that; it is trusted only where it reproduces the
     direct values on the indices the direct formula still resolves.
     """
-    pf = seqs.source
+    J = len(P) - 1
+    W_direct = [q + m * p for p, q in zip(P, Q)]
     L = min(len(pf) - 1, J + 16)
     if L < J + 8 or any(pf[j].b_squared is None for j in range(L + 1)):
         return W_direct
@@ -186,7 +175,7 @@ def _stabilized_weyl(seqs, lam, m, J, P, W_direct):
     c = m / u[0]
     checked = False
     for j in range(J + 1):
-        mag = abs(eval_normalized(seqs, j, lam)[1]) + abs(m) * abs(P[j])
+        mag = abs(Q[j]) + abs(m) * abs(P[j])
         if abs(W_direct[j]) <= 1e-6 * mag:
             continue
         checked = True
@@ -203,8 +192,8 @@ class ResolventColumn:
     residual: float  # ||(H - lam) x - e_{j,k}|| over the truncation
 
 
-def formal_resolvent_column(seqs: OrthoSequences, gj: GJMatrix, lam, m_value,
-                            j, k, trunc) -> ResolventColumn:
+def formal_resolvent_column(gj: GJMatrix, lam, m_value, j, k,
+                            trunc) -> ResolventColumn:
     """Column of the formal resolvent applied to the basis vector e_{j,k}.
 
     x(j,k) = e_{j,k-1} + lam e_{j,k-2} + ... +
@@ -224,17 +213,13 @@ def formal_resolvent_column(seqs: OrthoSequences, gj: GJMatrix, lam, m_value,
         raise TruncationTooShallow(
             f"index block {j} must lie at least one block inside trunc={trunc}"
         )
-    if seqs.j_max < trunc - 1:
-        raise TruncationTooShallow("polynomial sequences shallower than trunc")
     lam = complex(lam)
     m = complex(m_value)
     offs, dim = gj.block_offsets()
     dim = gj.dim(trunc)
 
-    vals = [eval_normalized(seqs, i, lam) for i in range(trunc)]
-    P_list = [v[0] for v in vals]
-    W_direct = [v[1] + m * v[0] for v in vals]
-    W = _stabilized_weyl(seqs, lam, m, trunc - 1, P_list, W_direct)
+    P, Q = normalized_values(gj.source, lam, trunc - 1)
+    W = _stabilized_weyl(gj.source, lam, m, P, Q)
 
     def metric_apply(i, base):
         """eps_i E_{p_i} applied to (base, lam*base, ..., lam^{k_i-1}*base)."""
@@ -252,10 +237,10 @@ def formal_resolvent_column(seqs: OrthoSequences, gj: GJMatrix, lam, m_value,
         return out
 
     tail = stacked(W, trunc)           # xi + m pi via stabilized Weyl values
-    pi_j = stacked(P_list, j + 1)
-    xi_j = stacked([v[1] for v in vals], j + 1)
+    pi_j = stacked(P, j + 1)
+    xi_j = stacked(Q, j + 1)
 
-    Pj, Qj = vals[j]
+    Pj, Qj = P[j], Q[j]
     x = [0j] * dim
     for l in range(k):
         x[offs[j] + k - 1 - l] += lam ** l

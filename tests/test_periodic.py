@@ -70,14 +70,13 @@ def test_monodromy_trace_identity(rng):
     pg = _eigenvalue_period()
     mono = periodic.monodromy(pg)
     pf = pg.unroll(4)
-    seqs = polyrec.generate(pf, 2)
     s = pg.period
     b = math.sqrt(float(pf[s - 1].b_squared))
     eps = pf[s - 1].epsilon
     for _ in range(6):
         lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        ps, _ = polyrec.eval_normalized(seqs, s, lam)
-        _, qs1 = polyrec.eval_normalized(seqs, s - 1, lam)
+        P, Q = polyrec.normalized_values(pf, lam, s)
+        ps, qs1 = P[s], Q[s - 1]
         want = ps - eps * b * qs1
         assert complex(mono.trace(lam)) == pytest.approx(want, rel=1e-10)
 

@@ -25,9 +25,9 @@ def test_initial_values_and_catalan_recurrence():
 
 
 def test_example64_normalized_values():
-    seqs = polyrec.generate(example64_pfraction(4), 3)
     # P_1 = 2 lambda^2, Q_1 = 2 after dividing by b_0 = 1/2
-    p1, q1 = polyrec.eval_normalized(seqs, 1, 1.0)
+    P, Q = polyrec.normalized_values(example64_pfraction(4), 1.0, 1)
+    p1, q1 = P[1], Q[1]
     assert p1 == pytest.approx(2.0)
     assert q1 == pytest.approx(2.0)
 
@@ -51,14 +51,13 @@ def test_lo_defect_small_at_random_points(rng):
 
 def test_transfer_matrix_entries_match_polynomials():
     pf = catalan_pfraction(5)
-    seqs = polyrec.generate(pf, 4)
     for j in range(3):
         W = polyrec.transfer_product(pf, j)
         (w11, w12), (w21, w22) = W.entries
         b = math.sqrt(float(pf[j].b_squared))
         lam = 1.7
-        pj, qj = polyrec.eval_normalized(seqs, j, lam)
-        pj1, qj1 = polyrec.eval_normalized(seqs, j + 1, lam)
+        P, Q = polyrec.normalized_values(pf, lam, j + 1)
+        pj, qj, pj1, qj1 = P[j], Q[j], P[j + 1], Q[j + 1]
         assert w11(lam) == pytest.approx(-pf[j].epsilon * b * qj.real)
         assert w12(lam) == pytest.approx(-qj1.real)
         assert w21(lam) == pytest.approx(pf[j].epsilon * b * pj.real)
@@ -84,9 +83,8 @@ def test_coprimality(rng):
 
 def test_range_errors():
     pf = catalan_pfraction(3)
-    seqs = polyrec.generate(pf, 3)
     with pytest.raises(OutOfRange):
-        polyrec.eval_normalized(seqs, 4, 1.0)
+        polyrec.normalized_values(pf, 1.0, 4)
     with pytest.raises(NotEnoughTerms):
         polyrec.generate(pf, 5)
     with pytest.raises(NotEnoughTerms):
@@ -95,6 +93,5 @@ def test_range_errors():
 
 def test_open_final_term_blocks_normalization():
     pf = random_pfraction(__import__("random").Random(3), 3, last_open=True)
-    seqs = polyrec.generate(pf, 3)
     with pytest.raises(OutOfRange):
-        polyrec.eval_normalized(seqs, 3, 0.5)
+        polyrec.normalized_values(pf, 0.5, 3)

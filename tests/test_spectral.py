@@ -16,13 +16,13 @@ GOLDEN_SMALL = (3 - math.sqrt(5)) / 2   # decaying multiplier at lambda = 3
 M3 = (-3 + math.sqrt(5)) / 2            # closed-form Weyl value at lambda = 3
 
 
-def _catalan_seqs(depth):
-    return polyrec.generate(catalan_pfraction(depth + 20), depth + 1)
+def _catalan_pf(depth):
+    return catalan_pfraction(depth + 20)
 
 
 def test_weyl_solution_initial_value_and_decay():
-    seqs = _catalan_seqs(10)
-    wd = spectral.weyl_solution(seqs, 3.0, M3, 8)
+    pf = _catalan_pf(10)
+    wd = spectral.weyl_solution(pf, 3.0, M3, 8)
     assert wd.W[0] == pytest.approx(M3)
     for j in range(5):
         assert wd.W[j + 1] / wd.W[j] == pytest.approx(GOLDEN_SMALL, rel=1e-6)
@@ -30,40 +30,39 @@ def test_weyl_solution_initial_value_and_decay():
 
 
 def test_weyl_solution_wrong_m_grows():
-    seqs = _catalan_seqs(12)
-    wd = spectral.weyl_solution(seqs, 3.0, 0.0, 12)
+    pf = _catalan_pf(12)
+    wd = spectral.weyl_solution(pf, 3.0, 0.0, 12)
     growth = abs(wd.W[12]) / abs(wd.W[6])
     assert growth > ((3 + math.sqrt(5)) / 2) ** 5
 
 
 def test_weyl_wronskian():
-    seqs = _catalan_seqs(10)
-    wd = spectral.weyl_solution(seqs, 3.0, M3, 9)
-    pf = seqs.source
+    pf = _catalan_pf(10)
+    wd = spectral.weyl_solution(pf, 3.0, M3, 9)
+    P, _ = polyrec.normalized_values(pf, 3.0, 9)
     for j in range(8):
         b = math.sqrt(float(pf[j].b_squared))
-        pj, _ = polyrec.eval_normalized(seqs, j, 3.0)
-        pj1, _ = polyrec.eval_normalized(seqs, j + 1, 3.0)
+        pj, pj1 = P[j], P[j + 1]
         wron = pf[j].epsilon * b * (wd.W[j + 1] * pj - wd.W[j] * pj1)
         assert abs(wron - 1.0) <= 1e-10
 
 
 def test_point_spectrum_probe():
-    seqs = _catalan_seqs(30)
-    assert spectral.point_spectrum_test(seqs, 3.0, 30) == "divergent"
-    assert spectral.point_spectrum_test(seqs, 0.0, 30) == "bounded_so_far"
+    pf = _catalan_pf(30)
+    assert spectral.point_spectrum_test(pf, 3.0, 30) == "divergent"
+    assert spectral.point_spectrum_test(pf, 0.0, 30) == "bounded_so_far"
     with pytest.raises(OutOfRange):
-        spectral.point_spectrum_test(seqs, 3.0, 1)
+        spectral.point_spectrum_test(pf, 3.0, 1)
 
 
 def test_point_spectrum_example64_resolvent_point():
-    seqs = polyrec.generate(example64_pfraction(50), 31)
-    assert spectral.point_spectrum_test(seqs, 1 + 1j, 30) == "divergent"
+    pf = example64_pfraction(50)
+    assert spectral.point_spectrum_test(pf, 1 + 1j, 30) == "divergent"
 
 
 def test_certificate_catalan_resolvent():
-    seqs = _catalan_seqs(40)
-    cert = spectral.resolvent_certificate(seqs, 3.0, M3, 40)
+    pf = _catalan_pf(40)
+    cert = spectral.resolvent_certificate(pf, 3.0, M3, 40)
     assert cert.verdict == "certified_decay"
     assert 0.35 <= cert.q <= 0.42
     assert cert.limsup_root > 1.0
@@ -73,29 +72,38 @@ def test_certificate_catalan_resolvent():
 
 
 def test_certificate_spectrum_point_not_certified():
-    seqs = _catalan_seqs(40)
+    pf = _catalan_pf(40)
     H = gm.assemble(catalan_pfraction(61))
     m = gm.m_truncation(H, 60, 0.5)
-    cert = spectral.resolvent_certificate(seqs, 0.5, m, 40)
+    cert = spectral.resolvent_certificate(pf, 0.5, m, 40)
     assert cert.verdict in ("violated", "inconclusive")
 
 
+def test_certificate_catalan_depth_120():
+    # as `certify --depth 120` does: m from the depth-480 truncation; the
+    # deep P_j reach 1e50, so they must keep their relative accuracy
+    H = gm.assemble(catalan_pfraction(482))
+    m = gm.m_truncation(H, 480, 3.0)
+    cert = spectral.resolvent_certificate(H.source, 3.0, m, 120)
+    assert cert.verdict == "certified_decay"
+    assert 0.35 <= cert.q <= 0.42
+
+
 def test_certificate_example64():
-    seqs = polyrec.generate(example64_pfraction(60), 41)
-    H = gm.assemble(example64_pfraction(60))
+    pf = example64_pfraction(60)
+    H = gm.assemble(pf)
     m = gm.m_truncation(H, 55, 1 + 1j)
-    cert = spectral.resolvent_certificate(seqs, 1 + 1j, m, 40)
+    cert = spectral.resolvent_certificate(pf, 1 + 1j, m, 40)
     assert cert.verdict == "certified_decay"
     assert cert.limsup_root > 1.0
 
 
 def test_resolvent_column_residuals():
     pf = catalan_pfraction(45)
-    seqs = polyrec.generate(pf, 25)
     H = gm.assemble(pf)
-    r00 = spectral.formal_resolvent_column(seqs, H, 3.0, M3, 0, 0, 24)
+    r00 = spectral.formal_resolvent_column(H, 3.0, M3, 0, 0, 24)
     assert r00.residual <= 1e-9
-    r20 = spectral.formal_resolvent_column(seqs, H, 3.0, M3, 2, 0, 24)
+    r20 = spectral.formal_resolvent_column(H, 3.0, M3, 2, 0, 24)
     assert r20.residual <= 1e-9
     # x(0,0) = xi + m pi reduces to the plain Weyl coordinates in block 0
     assert r00.x[0] == pytest.approx(M3)
@@ -108,29 +116,26 @@ def test_resolvent_column_composite_block():
     terms = (PFractionTerm(1, F(1), x * x),) + tuple(
         PFractionTerm(1, F(1), x) for _ in range(49))
     pf = PFraction(terms, degree_cap=2)
-    seqs = polyrec.generate(pf, 33)
     H = gm.assemble(pf)
     m = gm.m_truncation(H, 45, 2 + 1j)
-    rc = spectral.formal_resolvent_column(seqs, H, 2 + 1j, m, 0, 1, 32)
+    rc = spectral.formal_resolvent_column(H, 2 + 1j, m, 0, 1, 32)
     assert rc.residual <= 1e-9
 
 
 def test_resolvent_column_residual_shrinks_with_depth():
     pf = catalan_pfraction(40)
-    seqs = polyrec.generate(pf, 36)
     H = gm.assemble(pf)
-    res = [spectral.formal_resolvent_column(seqs, H, 3.0, M3, 1, 0, t).residual
+    res = [spectral.formal_resolvent_column(H, 3.0, M3, 1, 0, t).residual
            for t in (8, 16, 24)]
     assert res[0] > res[1] > res[2]
 
 
 def test_resolvent_column_errors():
     pf = catalan_pfraction(10)
-    seqs = polyrec.generate(pf, 9)
     H = gm.assemble(pf)
     with pytest.raises(BadIndex):
-        spectral.formal_resolvent_column(seqs, H, 3.0, M3, 0, 5, 8)
+        spectral.formal_resolvent_column(H, 3.0, M3, 0, 5, 8)
     with pytest.raises(TruncationTooShallow):
-        spectral.formal_resolvent_column(seqs, H, 3.0, M3, 7, 0, 8)
+        spectral.formal_resolvent_column(H, 3.0, M3, 7, 0, 8)
     with pytest.raises(TruncationTooShallow):
-        spectral.formal_resolvent_column(seqs, H, 3.0, M3, 0, 0, 99)
+        spectral.formal_resolvent_column(H, 3.0, M3, 0, 0, 99)
