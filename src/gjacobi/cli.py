@@ -84,7 +84,8 @@ def _load_input(path, exact):
             return MomentSequence.from_json(text, exact_parse=exact)
         if "terms" in data:
             return PFraction.from_json(text, exact_parse=exact)
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError,
+            ZeroDivisionError) as exc:
         raise CliError(EXIT_PARSE, f"malformed input: {exc}")
     raise CliError(EXIT_PARSE, "input needs a 'moments' or 'terms' key")
 
@@ -99,7 +100,7 @@ def _as_pfraction(obj, max_terms, degree_cap):
 
 
 def _extend_cyclic(pf, n_terms):
-    """Repeat the coefficient pattern so depth-hungry commands can run."""
+    """Repeat the coefficient pattern so certify can reach its surrogate depth."""
     if len(pf) >= n_terms:
         return pf
     if pf.status == "terminated":
@@ -150,7 +151,6 @@ def cmd_pade(args):
     lam = _parse_complex(args.lam)
     j_hi = max(orders)
     pf = _as_pfraction(obj, j_hi + 1, args.degree_cap)
-    pf = _extend_cyclic(pf, j_hi + 1) if len(pf) < j_hi else pf
     if len(pf) < j_hi:
         raise CliError(EXIT_DATA, f"only {len(pf)} terms, need {j_hi}")
     seqs = polyrec.generate(pf, j_hi)
@@ -207,9 +207,8 @@ def cmd_certify(args):
     pf = _as_pfraction(obj, J + 1, args.degree_cap)
     deep = 4 * J  # deep-truncation surrogate for the operator m-function
     pf = _extend_cyclic(pf, deep + 2)
-    H = gjmatrix.assemble(pf)
     try:
-        m_value = gjmatrix.m_truncation(H, deep, lam)
+        m_value = gjmatrix.m_truncation(pf, deep, lam)
     except PoleAtLambda as exc:
         raise CliError(EXIT_POLE, str(exc))
     cert = spectral.resolvent_certificate(pf, lam, m_value, J)

@@ -260,11 +260,14 @@ def _hessenberg_charpoly(A):
 
 # -- m-functions ------------------------------------------------------
 
-def m_truncation(H: GJMatrix, j: int, lam) -> complex:
-    """m-function of H_[0,j], -Qhat_{j+1}(lam)/Phat_{j+1}(lam), as -F_0."""
-    if not 0 <= j < H.n_blocks:
-        raise OutOfRange(f"j={j} outside [0, {H.n_blocks - 1}]")
-    return -_continued_fraction(H.source.terms[:j + 1], lam)
+def m_truncation(pf: PFraction, j: int, lam) -> complex:
+    """m-function of H_[0,j], -Qhat_{j+1}(lam)/Phat_{j+1}(lam), as -F_0.
+
+    Reads only the terms 0..j of the fraction; no matrix is assembled.
+    """
+    if not 0 <= j < len(pf):
+        raise OutOfRange(f"j={j} outside [0, {len(pf) - 1}]")
+    return -_continued_fraction(pf.terms[:j + 1], lam)
 
 
 def _continued_fraction(terms, lam) -> complex:
@@ -289,19 +292,6 @@ def _continued_fraction(terms, lam) -> complex:
         else:
             f, i = t.epsilon / den, i - 1
     return f
-
-
-def riccati_defect(H: GJMatrix, j: int, lam) -> float:
-    """|m_[0,j] + eps_0/(p_0 + eps_0 b_0^2 m_[1,j])| at lam."""
-    if H.n_blocks < 2 or j < 1:
-        raise OutOfRange("Riccati step needs at least two blocks and j >= 1")
-    m0 = m_truncation(H, j, lam)
-    m1 = -_continued_fraction(H.source.terms[1:j + 1], lam)
-    t0 = H.source[0]
-    den = complex(t0.p.as_float()(complex(lam))) + t0.epsilon * float(t0.b_squared) * m1
-    if abs(den) <= 1e-300:
-        raise PoleAtLambda("Riccati denominator vanishes")
-    return abs(m0 + t0.epsilon / den)
 
 
 # -- moments ----------------------------------------------------------

@@ -16,7 +16,7 @@ from .errors import InsufficientMoments, OutOfRange, PoleAtLambda
 from .moments import MomentSequence
 from .poly import Polynomial
 from .polyrec import OrthoSequences
-from .series import series_inv, series_mul
+from .series import laurent_coeffs
 
 COINCIDES = "coincides"
 NOT_EXIST = "not_exist"
@@ -55,22 +55,6 @@ def diagonal(seqs: OrthoSequences, j: int) -> PadeApproximant:
     k_next = pf[j].degree if j < len(pf) else None
     return PadeApproximant(numerator=num, denominator=den, order=den.degree,
                            block_size=k_next, j=j)
-
-
-def laurent_coeffs(num: Polynomial, den: Polynomial, count: int):
-    """Coefficients c_i of num/den = sum c_i lambda^{-(i+1)} at infinity.
-
-    Requires deg num < deg den; exact over Fractions, works for floats too.
-    """
-    n = den.degree
-    if num.degree >= n:
-        raise ValueError("series at infinity needs deg num < deg den")
-    lc = den.coeffs[-1]
-    dz = [den.coeffs[n - i] / lc for i in range(n + 1)]       # reversed, monic in z
-    nz = [0] * n
-    for m, c in enumerate(num.coeffs):
-        nz[n - 1 - m] = c / lc
-    return series_mul(nz, series_inv(dz, count), count)
 
 
 def match_order(appr: PadeApproximant, s: MomentSequence) -> int:

@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import AllZero, DegreeCapExceeded, EmptyPFraction, InsufficientMoments
 from .moments import MomentSequence, normalize, parse_scalar, _scalar_str
 from .poly import Polynomial
-from .series import series_inv
+from .series import laurent_coeffs, series_inv
 
 STATUS_OPEN = "open"
 STATUS_TERMINATED = "terminated"
@@ -183,37 +184,33 @@ def expand(s: MomentSequence, max_terms: int, degree_cap: int) -> PFraction:
 
 
 def to_moments(pf: PFraction, count: int) -> MomentSequence:
-    """Laurent coefficients at infinity of the finite P-fraction composition.
+    """Laurent coefficients at infinity of Qhat_J/Phat_J, the composed fraction.
 
     Indices below 2*n_J (J terms, n_J = sum of block degrees) are certified;
-    for a terminated fraction every coefficient is exact.
+    for a terminated fraction every coefficient is exact.  A j-term prefix
+    already reproduces the series through index 2*n_j - 1, so only the
+    shortest prefix with 2*n_j >= count is recurred.  Float data is run on
+    its exact rational values and rounded once at the end: the expanded
+    Phat_J, Qhat_J would lose their digits to cancellation in floats.
     """
+    from .polyrec import generate
+
     if len(pf) == 0:
         raise EmptyPFraction("P-fraction has no terms")
     if count < 1:
         raise ValueError("count must be >= 1")
+    n_ends = accumulate(t.degree for t in pf.terms)  # n_1, n_2, ..., n_J
+    J = next((j for j, n in enumerate(n_ends, 1) if 2 * n >= count), len(pf))
+    terms = pf.terms[:J]
     exact = all(isinstance(c, (int, Fraction))
-                for t in pf.terms for c in t.p.coeffs)
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    moments = []  # tail moment list, inside out
-    for term in reversed(pf.terms):
-        k = term.degree
-        ptilde = [term.p.coeffs[k - i] for i in range(k + 1)]  # reversed, [0]=1
-        dt = [zero] * count
-        for i, c in enumerate(ptilde[:count]):
-            dt[i] = dt[i] + c
-        if term.b_squared is not None:
-            eb2 = term.epsilon * term.b_squared
-            for i, t in enumerate(moments):
-                idx = k + 1 + i
-                if idx < count:
-                    dt[idx] = dt[idx] - eb2 * t
-        d = series_inv(dt, count)
-        # s_{k-1+i} = epsilon * d_i
-        moments = [zero] * (k - 1) + [term.epsilon * d[i]
-                                      for i in range(count - k + 1)]
-        moments = moments[:count]
+                for t in terms for c in (t.b_squared or 0, *t.p.coeffs))
+    if not exact:
+        terms = tuple(PFractionTerm(
+            t.epsilon, None if t.b_squared is None else Fraction(t.b_squared),
+            Polynomial([Fraction(c) for c in t.p.coeffs])) for t in terms)
+    seqs = generate(PFraction(terms), J)
+    moments = laurent_coeffs(seqs.Qhat[J], seqs.Phat[J], count)
+    ring = Fraction if exact else float
     certified = None if pf.status == STATUS_TERMINATED else 2 * pf.normal_index(len(pf)) - 1
-    moments = moments + [zero] * (count - len(moments))
-    return MomentSequence(tuple(moments), scale=one, certified_up_to=certified)
+    return MomentSequence(tuple(ring(c) for c in moments), scale=ring(1),
+                          certified_up_to=certified)

@@ -34,3 +34,20 @@ def series_inv(c, n):
                 acc += c[i] * y[k - i]
         y.append(-acc * inv0)
     return y[:n]
+
+
+def laurent_coeffs(num, den, count):
+    """Coefficients c_i of num/den = sum c_i lambda^{-(i+1)} at infinity.
+
+    num and den are Polynomials with deg num < deg den; exact over
+    Fractions, works for floats too.
+    """
+    n = den.degree
+    if num.degree >= n:
+        raise ValueError("series at infinity needs deg num < deg den")
+    lc = den.coeffs[-1]
+    dz = [den.coeffs[n - i] / lc for i in range(n + 1)]       # reversed, monic in z
+    nz = [0] * n
+    for m, c in enumerate(num.coeffs):
+        nz[n - 1 - m] = c / lc
+    return series_mul(nz, series_inv(dz, count), count)

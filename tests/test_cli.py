@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
+from conftest import random_pfraction
 from gjacobi.cli import main
 from gjacobi.moments import MomentSequence
-from gjacobi.pfraction import PFraction
+from gjacobi.pfraction import PFraction, to_moments
 
 
 CATALAN = [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132, 0]
@@ -52,6 +54,22 @@ def test_parse_failures(tmp_path, catalan_file):
     assert main(["expand", str(bad)]) == 2
     assert main(["pade", catalan_file, "--lambda", "oops"]) == 2
     assert main(["pade", catalan_file, "--lambda", "3,0", "--orders", "0..3"]) == 2
+
+
+def test_malformed_shapes_are_parse_errors(tmp_path):
+    for i, data in enumerate(({"moments": 5}, {"terms": [1]}, "moments")):
+        path = tmp_path / f"shape{i}.json"
+        path.write_text(json.dumps(data))
+        assert main(["expand", str(path)]) == 2
+
+
+def test_pade_refuses_orders_past_the_data(tmp_path):
+    # 12 moments of a non-periodic fraction determine only 6 terms; orders
+    # up to 10 must not be served from a made-up continuation
+    s = to_moments(random_pfraction(random.Random(5), 12, 1), 12)
+    path = tmp_path / "short.json"
+    path.write_text(s.to_json())
+    assert main(["pade", str(path), "--lambda", "3,0", "--orders", "1..10"]) == 3
 
 
 def test_pade_convergence_table(catalan_file, tmp_path, capsys):
@@ -114,6 +132,14 @@ def test_moments_round_trip(pfraction_file, tmp_path, capsys):
     s = MomentSequence.from_json(out.read_text())
     assert [float(v) for v in s.coeffs] == [float(v) for v in CATALAN[:12]]
     assert "certified through" in capsys.readouterr().err
+
+
+def test_moments_refuses_interior_term_without_coupling(tmp_path):
+    term = {"epsilon": 1, "b_squared": "1", "p": ["0", "1"]}
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(
+        {"terms": [term, dict(term, b_squared=None), term]}))
+    assert main(["moments", str(path), "--count", "6"]) == 3
 
 
 def test_moments_rejects_moment_input(catalan_file):

@@ -128,20 +128,19 @@ def test_symmetry_defect_rejects_wide_support():
 
 
 def test_m_truncation_values():
-    H = gm.assemble(catalan_pfraction(4))
-    assert gm.m_truncation(H, 0, 3.0) == pytest.approx(-1 / 3)
-    assert gm.m_truncation(H, 1, 3.0) == pytest.approx(-3 / 8)
+    pf = catalan_pfraction(4)
+    assert gm.m_truncation(pf, 0, 3.0) == pytest.approx(-1 / 3)
+    assert gm.m_truncation(pf, 1, 3.0) == pytest.approx(-3 / 8)
     with pytest.raises(PoleAtLambda):
-        gm.m_truncation(H, 1, 1.0)  # Phat_2 = x^2 - 1
+        gm.m_truncation(pf, 1, 1.0)  # Phat_2 = x^2 - 1
     with pytest.raises(OutOfRange):
-        gm.m_truncation(H, 7, 3.0)
+        gm.m_truncation(pf, 7, 3.0)
 
 
 def test_m_truncation_inner_zero_denominator():
     # p_1(0) = 0 makes F_1 infinite, so F_0 = 0 exactly: -Qhat_2/Phat_2 =
     # -x/(x^2 - 1) vanishes at 0 and no pole is reported
-    H = gm.assemble(catalan_pfraction(4))
-    assert gm.m_truncation(H, 1, 0.0) == 0
+    assert gm.m_truncation(catalan_pfraction(4), 1, 0.0) == 0
 
 
 def test_m_truncation_matches_exact_ratio(rng):
@@ -149,22 +148,13 @@ def test_m_truncation_matches_exact_ratio(rng):
     # evaluated in exact arithmetic
     for _ in range(4):
         pf = random_pfraction(rng, 7)
-        H = gm.assemble(pf)
         seqs = polyrec.generate(pf, 7)
         lam = complex(rng.uniform(-3, 3), rng.uniform(0.5, 3))
         for j in range(6):
             pr, pi = seqs.Phat[j + 1].eval_exact_pair(lam)
             qr, qi = seqs.Qhat[j + 1].eval_exact_pair(lam)
             want = -complex(qr, qi) / complex(pr, pi)
-            assert abs(gm.m_truncation(H, j, lam) - want) <= 1e-10 * max(1.0, abs(want))
-
-
-def test_riccati_defect_small(rng):
-    for _ in range(4):
-        pf = random_pfraction(rng, 5)
-        H = gm.assemble(pf)
-        lam = complex(rng.uniform(2, 4), rng.uniform(1, 3))
-        assert gm.riccati_defect(H, 3, lam) <= 1e-9
+            assert abs(gm.m_truncation(pf, j, lam) - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_moments_from_matrix_known_values():

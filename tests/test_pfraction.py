@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import catalan_pfraction, random_pfraction
+from gjacobi import gjmatrix as gm
 from gjacobi.errors import AllZero, DegreeCapExceeded, InsufficientMoments
 from gjacobi.moments import MomentSequence
 from gjacobi.pfraction import (PFraction, PFractionTerm, expand, expand_step,
@@ -110,6 +111,26 @@ def test_to_moments_terminated_roundtrip(rng):
         back = expand(s, len(pf) + 2, pf.degree_cap)
         assert back.status == "terminated"
         assert back.terms == pf.terms
+
+
+def test_to_moments_matches_matrix_moments(rng):
+    # the series of Qhat_J/Phat_J against [H^i e, e] of the assembled matrix,
+    # for every count up to 2*n_J: small counts recur only a short prefix
+    for i in range(12):
+        pf = random_pfraction(rng, rng.randint(1, 9), last_open=i % 3 == 0)
+        n_J = pf.normal_index(len(pf))
+        H = gm.assemble(pf)
+        want = gm.moments_from_matrix(H, H.gram(), 2 * n_J).coeffs
+        for c in range(1, 2 * n_J + 1):
+            assert to_moments(pf, c).coeffs == want[:c]
+
+
+def test_to_moments_float_data_rounds_exact_values():
+    exact = catalan_pfraction(80)
+    data = exact.to_json().replace('"1"', '"1.0"').replace('"0"', '"0.0"')
+    s = to_moments(PFraction.from_json(data), 160)
+    assert s.coeffs == tuple(float(v) for v in to_moments(exact, 160).coeffs)
+    assert s.scale == 1.0 and isinstance(s.scale, float)
 
 
 def test_json_roundtrip():

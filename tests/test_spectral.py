@@ -73,8 +73,7 @@ def test_certificate_catalan_resolvent():
 
 def test_certificate_spectrum_point_not_certified():
     pf = _catalan_pf(40)
-    H = gm.assemble(catalan_pfraction(61))
-    m = gm.m_truncation(H, 60, 0.5)
+    m = gm.m_truncation(catalan_pfraction(61), 60, 0.5)
     cert = spectral.resolvent_certificate(pf, 0.5, m, 40)
     assert cert.verdict in ("violated", "inconclusive")
 
@@ -82,17 +81,16 @@ def test_certificate_spectrum_point_not_certified():
 def test_certificate_catalan_depth_120():
     # as `certify --depth 120` does: m from the depth-480 truncation; the
     # deep P_j reach 1e50, so they must keep their relative accuracy
-    H = gm.assemble(catalan_pfraction(482))
-    m = gm.m_truncation(H, 480, 3.0)
-    cert = spectral.resolvent_certificate(H.source, 3.0, m, 120)
+    deep = catalan_pfraction(482)
+    m = gm.m_truncation(deep, 480, 3.0)
+    cert = spectral.resolvent_certificate(deep, 3.0, m, 120)
     assert cert.verdict == "certified_decay"
     assert 0.35 <= cert.q <= 0.42
 
 
 def test_certificate_example64():
     pf = example64_pfraction(60)
-    H = gm.assemble(pf)
-    m = gm.m_truncation(H, 55, 1 + 1j)
+    m = gm.m_truncation(pf, 55, 1 + 1j)
     cert = spectral.resolvent_certificate(pf, 1 + 1j, m, 40)
     assert cert.verdict == "certified_decay"
     assert cert.limsup_root > 1.0
@@ -117,7 +115,7 @@ def test_resolvent_column_composite_block():
         PFractionTerm(1, F(1), x) for _ in range(49))
     pf = PFraction(terms, degree_cap=2)
     H = gm.assemble(pf)
-    m = gm.m_truncation(H, 45, 2 + 1j)
+    m = gm.m_truncation(pf, 45, 2 + 1j)
     rc = spectral.formal_resolvent_column(H, 2 + 1j, m, 0, 1, 32)
     assert rc.residual <= 1e-9
 
