@@ -1,9 +1,9 @@
 """Command-line pipeline: moments -> P-fraction -> matrix -> Pade/spectral/
 periodic outputs.
 
-Exit codes: 0 success, 1 internal error, 2 input parse failure,
-3 insufficient or degenerate moment data, 4 pole at every requested order,
-5 period does not divide the term count.
+Exit codes: 0 success, 1 internal error (a bug), 2 input parse failure,
+3 any other library error (insufficient, degenerate or out-of-range data),
+4 pole at lambda, 5 period does not divide the term count.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import gjmatrix, pade, periodic, polyrec, spectral
-from .errors import (AllZero, DegreeCapExceeded, GJacobiError,
-                     InsufficientMoments, PoleAtLambda)
+from .errors import GJacobiError, InsufficientMoments, PoleAtLambda
 from .moments import MomentSequence, normal_indices
 from .pfraction import PFraction, expand, to_moments
 from .poly import Polynomial
@@ -91,12 +90,7 @@ def _load_input(path, exact):
 
 
 def _as_pfraction(obj, max_terms, degree_cap):
-    if isinstance(obj, PFraction):
-        return obj
-    try:
-        return expand(obj, max_terms, degree_cap)
-    except (InsufficientMoments, DegreeCapExceeded, AllZero) as exc:
-        raise CliError(EXIT_DATA, str(exc))
+    return obj if isinstance(obj, PFraction) else expand(obj, max_terms, degree_cap)
 
 
 def _extend_cyclic(pf, n_terms):
@@ -109,7 +103,7 @@ def _extend_cyclic(pf, n_terms):
     pattern = pf.terms
     if pattern and pattern[-1].b_squared is None:
         pattern = pattern[:-1]  # coupling unknown, not absent; drop from pattern
-    if not pattern or any(t.b_squared is None for t in pattern):
+    if not pattern:
         raise CliError(EXIT_DATA, "too few coupled terms to extend cyclically")
     terms = tuple(pattern[i % len(pattern)] for i in range(n_terms))
     return PFraction(terms, status=pf.status, degree_cap=pf.degree_cap)
@@ -151,8 +145,6 @@ def cmd_pade(args):
     lam = _parse_complex(args.lam)
     j_hi = max(orders)
     pf = _as_pfraction(obj, j_hi + 1, args.degree_cap)
-    if len(pf) < j_hi:
-        raise CliError(EXIT_DATA, f"only {len(pf)} terms, need {j_hi}")
     seqs = polyrec.generate(pf, j_hi)
     reference = REFERENCES.get(args.reference) if args.reference else None
     if args.reference and reference is None:
@@ -207,10 +199,7 @@ def cmd_certify(args):
     pf = _as_pfraction(obj, J + 1, args.degree_cap)
     deep = 4 * J  # deep-truncation surrogate for the operator m-function
     pf = _extend_cyclic(pf, deep + 2)
-    try:
-        m_value = gjmatrix.m_truncation(pf, deep, lam)
-    except PoleAtLambda as exc:
-        raise CliError(EXIT_POLE, str(exc))
+    m_value = gjmatrix.m_truncation(pf, deep, lam)
     cert = spectral.resolvent_certificate(pf, lam, m_value, J)
     _write(args, cert.to_json())
     return EXIT_OK
@@ -220,10 +209,7 @@ def cmd_moments(args):
     obj = _load_input(args.input, args.exact)
     if not isinstance(obj, PFraction):
         raise CliError(EXIT_PARSE, "moments needs a pfraction input")
-    try:
-        s = to_moments(obj, args.count)
-    except (ValueError, GJacobiError) as exc:
-        raise CliError(EXIT_DATA, str(exc))
+    s = to_moments(obj, args.count)
     if s.certified_up_to is not None:
         print(f"certified through index {s.certified_up_to}", file=sys.stderr)
     _write(args, s.to_json())
@@ -316,12 +302,9 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (InsufficientMoments, DegreeCapExceeded, AllZero) as exc:
+    except GJacobiError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except PoleAtLambda as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_POLE
+        return EXIT_POLE if isinstance(exc, PoleAtLambda) else EXIT_DATA
     except Exception as exc:  # pragma: no cover - last-resort guard
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -21,6 +21,10 @@ class EmptyPFraction(GJacobiError):
     """An operation requires at least one continued-fraction term."""
 
 
+class OpenCoupling(GJacobiError):
+    """A P-fraction term other than the last lacks its coupling b^2."""
+
+
 class NotEnoughTerms(GJacobiError):
     """The continued fraction has fewer terms than requested."""
 

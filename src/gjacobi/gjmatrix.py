@@ -81,12 +81,10 @@ class GramMetric:
 
 @dataclass(frozen=True)
 class GJMatrix:
-    """Generalized Jacobi matrix data (blocks A_j = C_{p_j}, couplings b_j)."""
+    """Generalized Jacobi matrix data: blocks A_j = C_{p_j}; the signs eps_j
+    and the couplings b_j^2 of block j to j+1 are read from the source terms."""
 
     blocks: tuple  # CompanionBlock per term
-    b2: tuple      # b_j^2 coupling block j to j+1; length len(blocks)-1
-    eps: tuple     # signs, one per block
-    degree_cap: int
     source: PFraction
 
     @property
@@ -117,10 +115,11 @@ class GJMatrix:
             H[off:off + k, off:off + k] = [[float(v) for v in row]
                                            for row in blk.C]
             if j + 1 < n:
-                b = math.sqrt(float(self.b2[j]))
+                t, t_next = self.source[j], self.source[j + 1]
+                b = math.sqrt(float(t.b_squared))
                 knext = self.blocks[j + 1].size
                 H[off + k, off + k - 1] = b                       # B_j corner
-                H[off, off + k + knext - 1] = self.eps[j] * self.eps[j + 1] * b
+                H[off, off + k + knext - 1] = t.epsilon * t_next.epsilon * b
             off += k
         return H
 
@@ -138,16 +137,17 @@ class GJMatrix:
                 for l in range(k):
                     K[off + i][off + l] = blk.C[i][l]
             if j + 1 < n:
+                t, t_next = self.source[j], self.source[j + 1]
                 knext = self.blocks[j + 1].size
-                K[off + k][off + k - 1] = Fraction(self.b2[j])
-                K[off][off + k + knext - 1] = Fraction(self.eps[j] * self.eps[j + 1])
+                K[off + k][off + k - 1] = Fraction(t.b_squared)
+                K[off][off + k + knext - 1] = Fraction(t.epsilon * t_next.epsilon)
             off += k
         return K
 
     def gram(self) -> GramMetric:
         return GramMetric(tuple(
-            tuple(tuple(self.eps[j] * v for v in row) for row in blk.E_inv)
-            for j, blk in enumerate(self.blocks)
+            tuple(tuple(t.epsilon * v for v in row) for row in blk.E_inv)
+            for t, blk in zip(self.source, self.blocks)
         ))
 
     def gram_scaled_blocks(self, n_blocks=None):
@@ -156,11 +156,11 @@ class GJMatrix:
         out = []
         prod = Fraction(1)
         for j in range(n):
-            blk = self.blocks[j]
-            out.append(tuple(tuple(self.eps[j] * v / prod for v in row)
-                             for row in blk.E_inv))
-            if j < len(self.b2) and self.b2[j] is not None:
-                prod *= Fraction(self.b2[j])
+            t = self.source[j]
+            out.append(tuple(tuple(t.epsilon * v / prod for v in row)
+                             for row in self.blocks[j].E_inv))
+            if j + 1 < n:
+                prod *= Fraction(t.b_squared)
         return out
 
 
@@ -168,13 +168,7 @@ def assemble(pf: PFraction) -> GJMatrix:
     """Build the generalized Jacobi matrix of a P-fraction."""
     if len(pf) == 0:
         raise ValueError("cannot assemble an empty P-fraction")
-    blocks = tuple(companion(t.p) for t in pf.terms)
-    b2 = tuple(t.b_squared for t in pf.terms[:-1])
-    if any(v is None for v in b2):
-        raise ValueError("interior term lacks a coupling b^2")
-    cap = pf.degree_cap or max(t.degree for t in pf.terms)
-    return GJMatrix(blocks=blocks, b2=b2, eps=tuple(t.epsilon for t in pf.terms),
-                    degree_cap=cap, source=pf)
+    return GJMatrix(blocks=tuple(companion(t.p) for t in pf.terms), source=pf)
 
 
 # -- symmetry in the indefinite metric --------------------------------

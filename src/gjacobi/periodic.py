@@ -76,8 +76,12 @@ def monodromy(pg: PeriodicGJM) -> Monodromy:
     det = T.det()
     defect = max((abs(complex(c)) for c in (det - Polynomial.one()).coeffs),
                  default=0.0)
-    if defect > 1e-10:
-        raise ArithmeticError(f"monodromy determinant defect {defect} > 1e-10")
+    # det T's coefficients are sums of products of two entries' coefficients,
+    # which grow with the period, so the rounding floor scales with their square
+    size = max(abs(complex(c)) for row in T.entries for e in row for c in e.coeffs)
+    tol = 1e-10 * max(1.0, size) ** 2
+    if defect > tol:
+        raise ArithmeticError(f"monodromy determinant defect {defect} > {tol:.3g}")
     return Monodromy(T=T, trace=trace, period=s, det_defect=defect)
 
 

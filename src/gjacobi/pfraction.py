@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import AllZero, DegreeCapExceeded, EmptyPFraction, InsufficientMoments
+from .errors import (AllZero, DegreeCapExceeded, EmptyPFraction,
+                     InsufficientMoments, OpenCoupling, OutOfRange)
 from .moments import MomentSequence, normalize, parse_scalar, _scalar_str
 from .poly import Polynomial
 from .series import laurent_coeffs, series_inv
@@ -45,7 +46,11 @@ class PFractionTerm:
 
 @dataclass(frozen=True)
 class PFraction:
-    """Ordered P-fraction terms with a termination status and degree cap."""
+    """Ordered P-fraction terms with a termination status and degree cap.
+
+    Every block is coupled to the next one, so only the last term may leave
+    its coupling b^2 unknown (None).
+    """
 
     terms: tuple
     status: str = STATUS_OPEN
@@ -55,6 +60,10 @@ class PFraction:
         object.__setattr__(self, "terms", tuple(self.terms))
         if self.status not in (STATUS_OPEN, STATUS_TERMINATED, STATUS_EXHAUSTED):
             raise ValueError(f"unknown status {self.status!r}")
+        open_at = [j for j, t in enumerate(self.terms[:-1]) if t.b_squared is None]
+        if open_at:
+            raise OpenCoupling(f"term {open_at[0]} lacks b_squared; only the "
+                               "last term may")
         cap = self.degree_cap
         if cap is not None and any(t.degree > cap for t in self.terms):
             raise ValueError("term degree exceeds degree_cap")
@@ -198,7 +207,7 @@ def to_moments(pf: PFraction, count: int) -> MomentSequence:
     if len(pf) == 0:
         raise EmptyPFraction("P-fraction has no terms")
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise OutOfRange("count must be >= 1")
     n_ends = accumulate(t.degree for t in pf.terms)  # n_1, n_2, ..., n_J
     J = next((j for j, n in enumerate(n_ends, 1) if 2 * n >= count), len(pf))
     terms = pf.terms[:J]

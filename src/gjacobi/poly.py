@@ -47,10 +47,6 @@ class Polynomial:
     def x(cls):
         return cls((Fraction(0), Fraction(1)))
 
-    @classmethod
-    def monomial(cls, power, coeff=Fraction(1)):
-        return cls((0,) * power + (coeff,))
-
     # -- basic queries ------------------------------------------------
     @property
     def degree(self):

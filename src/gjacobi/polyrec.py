@@ -72,10 +72,6 @@ def generate(pf: PFraction, j_max: int) -> OrthoSequences:
     for j in range(1, j_max):
         prev = pf[j - 1]
         cur = pf[j]
-        if prev.b_squared is None:
-            raise NotEnoughTerms(
-                f"term {j - 1} has no coupling; cannot recurse past it"
-            )
         c = prev.epsilon * cur.epsilon * prev.b_squared
         Phat.append(cur.p * Phat[j] - c * Phat[j - 1])
         Qhat.append(cur.p * Qhat[j] - c * Qhat[j - 1])

@@ -158,7 +158,7 @@ def _stabilized_weyl(pf, lam, m, P, Q):
     J = len(P) - 1
     W_direct = [q + m * p for p, q in zip(P, Q)]
     L = min(len(pf) - 1, J + 16)
-    if L < J + 8 or any(pf[j].b_squared is None for j in range(L + 1)):
+    if L < J + 8 or pf[L].b_squared is None:  # only the last term may be open
         return W_direct
     b = [math.sqrt(float(pf[j].b_squared)) for j in range(L + 1)]
     p = [pf[j].p.as_float() for j in range(L + 1)]
@@ -226,7 +226,8 @@ def formal_resolvent_column(gj: GJMatrix, lam, m_value, j, k,
         blk = gj.blocks[i]
         ki = blk.size
         v = [base * lam ** l for l in range(ki)]
-        return [gj.eps[i] * sum(float(blk.E[r][c]) * v[c] for c in range(ki))
+        return [gj.source[i].epsilon
+                * sum(float(blk.E[r][c]) * v[c] for c in range(ki))
                 for r in range(ki)]
 
     def stacked(values, upto):

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_pfraction
 from gjacobi.cli import main
@@ -134,12 +136,52 @@ def test_moments_round_trip(pfraction_file, tmp_path, capsys):
     assert "certified through" in capsys.readouterr().err
 
 
-def test_moments_refuses_interior_term_without_coupling(tmp_path):
+@pytest.mark.parametrize("n_terms, open_at, argv", [
+    (3, 1, ["moments", "--count", "6"]),
+    (3, 1, ["pade", "--lambda", "3,0", "--orders", "1..3"]),
+    # 20 >= 4*depth+2 terms: certify uses them as given, without repeating
+    (20, 1, ["certify", "--lambda", "3,0", "--depth", "4"]),
+    (7, None, ["certify", "--lambda", "3,0", "--depth", "2"]),
+    (7, None, ["spectrum", "--period", "1", "--grid", "1"]),
+], ids=["moments", "pade", "certify", "certify-depth", "spectrum-grid"])
+def test_moments_refuses_interior_term_without_coupling(tmp_path, n_terms,
+                                                        open_at, argv):
+    # every library error is exit 3, whichever command meets it
     term = {"epsilon": 1, "b_squared": "1", "p": ["0", "1"]}
+    terms = [dict(term, b_squared=None) if j == open_at else term
+             for j in range(n_terms)]
     path = tmp_path / "gap.json"
-    path.write_text(json.dumps(
-        {"terms": [term, dict(term, b_squared=None), term]}))
-    assert main(["moments", str(path), "--count", "6"]) == 3
+    path.write_text(json.dumps({"terms": terms}))
+    assert main([argv[0], str(path), *argv[1:]]) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_no_cli_run_on_random_pfractions_is_an_internal_error(
+        tmp_path_factory, seed, data):
+    rng = random.Random(seed)
+    n = data.draw(st.integers(1, 8), label="n_terms")
+    pf = random_pfraction(rng, n, 3, last_open=data.draw(st.booleans()))
+    terms = json.loads(pf.to_json())["terms"]
+    if n > 1 and data.draw(st.booleans(), label="gap"):
+        terms[data.draw(st.integers(0, n - 2), label="open_at")]["b_squared"] = None
+    path = tmp_path_factory.mktemp("rnd") / "pf.json"
+    path.write_text(json.dumps({"terms": terms}))
+    halves = st.integers(-8, 8).map(lambda v: v / 2)
+    lam = st.builds("--lambda={},{}".format, halves, halves)
+
+    def num(lo, hi):
+        return st.integers(lo, hi).map(str)
+
+    argv = data.draw(st.one_of(
+        st.tuples(st.just("moments"), st.just("--count"), num(0, 3 * n)),
+        st.tuples(st.just("pade"), lam, st.just("--orders"),
+                  num(1, n + 2).map("1..{}".format)),
+        st.tuples(st.just("certify"), lam, st.just("--depth"), num(1, 8)),
+        st.tuples(st.just("spectrum"), st.just("--period"), num(1, n),
+                  st.just("--grid"), num(1, 6)),
+    ), label="argv")
+    assert main([argv[0], str(path), *argv[1:]]) in (0, 3, 4, 5)
 
 
 def test_moments_rejects_moment_input(catalan_file):

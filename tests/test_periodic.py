@@ -1,10 +1,12 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import random_pfraction
 from gjacobi import periodic, polyrec
 from gjacobi.errors import BadRange
 from gjacobi.pfraction import PFractionTerm
@@ -79,6 +81,16 @@ def test_monodromy_trace_identity(rng):
         ps, qs1 = P[s], Q[s - 1]
         want = ps - eps * b * qs1
         assert complex(mono.trace(lam)) == pytest.approx(want, rel=1e-10)
+
+
+def test_monodromy_defect_bound_scales_with_entries():
+    # period 8: det T - 1 has a coefficient of 3e-8 from rounding alone, while
+    # T's entry coefficients reach 4e4; an absolute 1e-10 bound refused it
+    rng = random.Random(9)
+    pf = random_pfraction(rng, rng.randint(1, 8), 3)
+    mono = periodic.monodromy(periodic.PeriodicGJM(pf.terms))
+    assert mono.period == 8
+    assert mono.det_defect > 1e-10
 
 
 def test_multipliers_product_and_sum(rng):

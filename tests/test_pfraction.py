@@ -1,10 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from conftest import catalan_pfraction, random_pfraction
 from gjacobi import gjmatrix as gm
-from gjacobi.errors import AllZero, DegreeCapExceeded, InsufficientMoments
+from gjacobi.errors import (AllZero, DegreeCapExceeded, InsufficientMoments,
+                            OpenCoupling)
 from gjacobi.moments import MomentSequence
 from gjacobi.pfraction import (PFraction, PFractionTerm, expand, expand_step,
                                to_moments)
@@ -139,6 +141,18 @@ def test_json_roundtrip():
     back = PFraction.from_json(pf.to_json(), exact_parse=True)
     assert back.terms == pf.terms
     assert back.status == "open"
+
+
+def test_interior_open_coupling_rejected():
+    coupled, open_ = PFractionTerm(1, F(1), x), PFractionTerm(1, None, x)
+    with pytest.raises(OpenCoupling):
+        PFraction((coupled, open_, coupled))
+    last_open = PFraction((coupled, coupled, open_))
+    data = json.loads(last_open.to_json())
+    data["terms"][1]["b_squared"] = None
+    with pytest.raises(OpenCoupling):
+        PFraction.from_json(json.dumps(data))
+    assert PFraction.from_json(last_open.to_json()).terms == last_open.terms
 
 
 def test_shifted_and_normal_index():
