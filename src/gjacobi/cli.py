@@ -14,7 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import gjmatrix, pade, periodic, polyrec, spectral
-from .errors import GJacobiError, InsufficientMoments, PoleAtLambda
+from .errors import (EmptyPFraction, GJacobiError, InsufficientMoments,
+                     PoleAtLambda)
 from .moments import MomentSequence, normal_indices
 from .pfraction import PFraction, expand, to_moments
 from .poly import Polynomial
@@ -50,6 +51,15 @@ def _parse_region(text):
     if xmax <= xmin or ymax <= ymin:
         raise CliError(EXIT_PARSE, "region bounds must be increasing")
     return xmin, xmax, ymin, ymax
+
+
+def _parse_grid(text):
+    try:
+        dims = [int(v) for v in text.split(",")]
+        nx, ny = dims * 2 if len(dims) == 1 else dims
+    except ValueError:
+        raise CliError(EXIT_PARSE, f"expected 'n' or 'nx,ny', got {text!r}")
+    return nx, ny
 
 
 def _parse_orders(text):
@@ -170,6 +180,8 @@ def cmd_spectrum(args):
     obj = _load_input(args.input, args.exact)
     if not isinstance(obj, PFraction):
         raise CliError(EXIT_PARSE, "spectrum needs a pfraction input")
+    if len(obj) == 0:
+        raise EmptyPFraction("P-fraction has no terms")
     s = args.period
     if s < 1 or len(obj) % s != 0:
         raise CliError(EXIT_PERIOD,
@@ -179,9 +191,7 @@ def cmd_spectrum(args):
     pg = periodic.PeriodicGJM(obj.terms[:s])
     mono = periodic.monodromy(pg)
     region = _parse_region(args.region)
-    grid = args.grid.split(",")
-    nx = int(grid[0])
-    ny = int(grid[1]) if len(grid) > 1 else nx
+    nx, ny = _parse_grid(args.grid)
     sc = periodic.scan(mono, pg, region, nx, ny, args.tol, seed=args.seed)
     if args.out:
         with open(args.out, "w") as fh:

@@ -247,7 +247,8 @@ def _hessenberg_charpoly(A):
         prod = Fraction(1)
         for i in range(m - 2, -1, -1):
             prod *= A[i + 1][i]
-            term = term - (A[i][m - 1] * prod) * d[i]
+            if A[i][m - 1]:
+                term = term - (A[i][m - 1] * prod) * d[i]
         d.append(term)
     return d[n]
 
@@ -304,7 +305,7 @@ def moments_from_matrix(H: GJMatrix, G: GramMetric, count: int):
         raise TruncationTooShallow(
             f"{H.n_blocks} blocks (dim {n_total}) certify only {2 * n_total} moments"
         )
-    K = H.exact_scaled()
+    rows = [[(l, c) for l, c in enumerate(row) if c] for row in H.exact_scaled()]
     g0 = G.blocks[0]
     k0 = len(g0)
     v = [Fraction(0)] * n_total
@@ -312,7 +313,7 @@ def moments_from_matrix(H: GJMatrix, G: GramMetric, count: int):
     out = []
     for _ in range(count):
         out.append(sum(g0[0][l] * v[l] for l in range(k0)))
-        v = _matvec(K, v)
+        v = [sum(c * v[l] for l, c in row) for row in rows]
     return MomentSequence(tuple(out))
 
 

@@ -1,17 +1,19 @@
 """Dense univariate polynomials over exact rationals or floats.
 
 Coefficients are stored low-to-high with no trailing zeros.  The zero
-polynomial has an empty coefficient tuple and degree -1.  Exact work uses
-``fractions.Fraction`` coefficients; evaluation at complex points goes
-through plain Python complex arithmetic.
+polynomial has an empty coefficient tuple and degree -1.  Exact polynomials
+show ``fractions.Fraction`` (or int) coefficients, but their products, exact
+evaluation and coprimality run on integers: each operand is cleared to
+integer coefficients over one common denominator, so no gcd is paid per
+coefficient operation.  Float polynomials use plain float/complex arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 
-KARATSUBA_CUTOFF = 64  # schoolbook below this degree
+_P = (1 << 61) - 1  # Mersenne prime of poly_gcd's modular coprimality test
 
 
 def _trim(coeffs):
@@ -166,19 +168,28 @@ class Polynomial:
         """(re, im) of p(lam) as Fractions, or None when not exactly doable.
 
         Avoids the float Horner cancellation on large alternating
-        coefficients; floats in lam are themselves exact rationals.
+        coefficients; floats in lam are themselves exact rationals.  With
+        p = sum c_k x^k / den (c_k integers) and lam = (a + bi)/D (D the
+        common power-of-two denominator of its parts), Horner runs on the
+        integers sum c_k (a + bi)^k D^(n-k) and divides by D^n den once.
         """
-        if not all(isinstance(c, (int, Fraction)) for c in self.coeffs):
+        if not _is_exact(self.coeffs):
             return None
         lam = complex(lam)
         try:
             re, im = Fraction(lam.real), Fraction(lam.imag)
         except (OverflowError, ValueError):
             return None
-        ar, ai = Fraction(0), Fraction(0)
-        for c in reversed(self.coeffs):
-            ar, ai = ar * re - ai * im + c, ar * im + ai * re
-        return ar, ai
+        D = _int_lcm(re.denominator, im.denominator)
+        a = re.numerator * (D // re.denominator)
+        b = im.numerator * (D // im.denominator)
+        ints, den = _clear(self.coeffs)
+        ar = ai = 0
+        dk = 1  # D^(n-k) at coefficient k; D^(n+1) after the loop
+        for c in reversed(ints):
+            ar, ai = ar * a - ai * b + c * dk, ar * b + ai * a
+            dk *= D
+        return Fraction(ar * D, den * dk), Fraction(ai * D, den * dk)
 
     def monic(self):
         if self.is_zero:
@@ -186,73 +197,85 @@ class Polynomial:
         return self.scale(1 / Fraction(self.leading) if isinstance(self.leading, (int, Fraction)) else 1.0 / self.leading)
 
 
+def _is_exact(coeffs):
+    return all(isinstance(c, (int, Fraction)) for c in coeffs)
+
+
+def _clear(coeffs):
+    """(ints, den) with coeffs[i] == ints[i] / den, den the lcm of the
+    denominators (floats are read as the rationals they are)."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = _int_lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _primitive(ints):
+    """Integer coefficients divided by their content (gcd)."""
+    g = _int_gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def _mul(a, b):
-    if min(len(a), len(b)) <= KARATSUBA_CUTOFF:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return out
-    return _karatsuba(a, b)
-
-
-def _karatsuba(a, b):
-    n = max(len(a), len(b))
-    h = n // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _mul(a0, b0) if a0 and b0 else []
-    z2 = _mul(a1, b1) if a1 and b1 else []
-    sa = [x + y for x, y in _zip_pad(a0, a1)]
-    sb = [x + y for x, y in _zip_pad(b0, b1)]
-    z1 = _mul(sa, sb) if sa and sb else []
+    if _is_exact(a) and _is_exact(b):
+        return _kronecker_mul(a, b)
     out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-    for i, c in enumerate(z1):
-        out[i + h] += c
-    for i, c in enumerate(z0):
-        out[i + h] -= c
-    for i, c in enumerate(z2):
-        out[i + h] -= c
-    for i, c in enumerate(z2):
-        out[i + 2 * h] += c
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
     return out
 
 
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+def _kronecker_mul(a, b):
+    """Exact product by one big-integer multiply (Kronecker substitution).
+
+    Both operands are cleared to integers over one denominator and packed
+    into one int each, a slot per coefficient.  A slot holds at least
+    bitlen(max|a| max|b| min(len a, len b)) + 1 bits (rounded up to whole
+    bytes), so every product coefficient fits its slot with its sign, and
+    the product's slots read back as balanced signed digits.
+    """
+    ia, da = _clear(a)
+    ib, db = _clear(b)
+    bound = max(map(abs, ia)) * max(map(abs, ib)) * min(len(ia), len(ib))
+    width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
+    n = len(ia) + len(ib) - 1
+    raw = (_pack(ia, width) * _pack(ib, width)).to_bytes(
+        n * width, "little", signed=True)
+    half, full = 1 << (8 * width - 1), 1 << (8 * width)
+    den = da * db
+    out, borrow = [], 0
+    for k in range(0, n * width, width):
+        c = int.from_bytes(raw[k:k + width], "little") + borrow
+        borrow = c >= half
+        out.append(Fraction(c - full if borrow else c, den))
+    return out
 
 
-# -- exact gcd via subresultant PRS -----------------------------------
+def _pack(ints, width):
+    """sum ints[i] * 2^(8 width i) for integers that fit width signed bytes."""
+    pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in ints)
+    neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in ints)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-def _to_int_primitive(p: Polynomial):
-    """Clear denominators and content; return integer coefficient list."""
-    den = 1
-    for c in p.coeffs:
-        c = Fraction(c)
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    ints = [int(Fraction(c) * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
 
+# -- exact gcd: modular coprimality test, then subresultant PRS --------
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of two exact polynomials (subresultant remainder sequence)."""
+    """Monic gcd of two exact polynomials: Polynomial.one() when a gcd mod P
+    already proves them coprime, else the subresultant remainder sequence."""
     if a.is_zero:
         return b.monic() if b else b
     if b.is_zero:
         return a.monic()
-    f = _to_int_primitive(a)
-    g = _to_int_primitive(b)
+    f = _primitive(_clear(a.coeffs)[0])
+    g = _primitive(_clear(b.coeffs)[0])
+    # A rational common factor h of f and g is (Gauss) a primitive integer
+    # factor whose leading coefficient divides lc(f); when P does not, h
+    # keeps its degree mod P.  So a constant gcd mod P proves coprimality.
+    if f[-1] % _P and g[-1] % _P and _gcd_degree_mod_p(f, g) == 0:
+        return Polynomial.one()
     if len(f) < len(g):
         f, g = g, f
     # subresultant PRS (Cohen, Alg. 3.3.1) over the integers
@@ -266,12 +289,26 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         f, g = g, [c // div for c in r]
         gg_prev = f[-1]
         h = gg_prev ** delta // h ** (delta - 1) if delta >= 1 else h
-    gg = 0
-    for v in g:
-        gg = _int_gcd(gg, abs(v))
-    if gg > 1:
-        g = [v // gg for v in g]
-    return Polynomial([Fraction(c) for c in g]).monic()
+    return Polynomial([Fraction(c) for c in _primitive(g)]).monic()
+
+
+def _gcd_degree_mod_p(f, g):
+    """Degree of gcd(f mod P, g mod P) by Euclid over GF(P); leading
+    coefficients must be nonzero mod P."""
+    f = [c % _P for c in f]
+    g = [c % _P for c in g]
+    while g:
+        inv = pow(g[-1], -1, _P)
+        g = [c * inv % _P for c in g]  # monic
+        dg = len(g) - 1
+        while len(f) > dg:
+            q, s = f.pop(), len(f) - dg
+            for k in range(dg):
+                f[s + k] = (f[s + k] - q * g[k]) % _P
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
 
 
 def _int_prem(f, g):

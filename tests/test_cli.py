@@ -112,6 +112,18 @@ def test_spectrum_bad_period(pfraction_file):
     assert main(["spectrum", pfraction_file, "--period", "4"]) == 5
 
 
+@pytest.mark.parametrize("grid", ["abc", "3,x", "3,4,5"])
+def test_spectrum_bad_grid_is_a_parse_error(pfraction_file, grid):
+    assert main(["spectrum", pfraction_file, "--period", "1",
+                 "--grid", grid]) == 2
+
+
+def test_spectrum_refuses_empty_fraction(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"terms": []}))
+    assert main(["spectrum", str(path), "--period", "1"]) == 3
+
+
 def test_certify_resolvent_and_spectrum_points(catalan_file, tmp_path):
     out = tmp_path / "cert.json"
     code = main(["--out", str(out), "certify", catalan_file,

@@ -12,6 +12,20 @@ x = Polynomial.x()
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 poly_coeffs = st.lists(small_fracs, min_size=0, max_size=8)
 
+# exact coefficients of every kind the integer kernels clear: exact zeros
+# (interior ones included), ints of either sign up to 2**200, Fractions with
+# unrelated denominators
+big_ints = st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+exact_scalars = st.one_of(
+    st.sampled_from([0, F(0)]),
+    big_ints,
+    st.builds(F, big_ints, st.integers(min_value=1, max_value=2 ** 64)),
+    small_fracs,
+)
+exact_coeffs = st.lists(exact_scalars, min_size=1, max_size=12)
+
+P61 = 2 ** 61 - 1
+
 
 def test_trim_and_degree():
     assert Polynomial([F(0), F(0)]).degree == -1
@@ -38,6 +52,59 @@ def test_divmod_and_exact_div():
     assert ((x * x - 1).exact_div(x - 1)) == x + 1
     with pytest.raises(ValueError):
         (x * x).exact_div(x - 1)
+
+
+def _convolution(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += F(ca) * F(cb)
+    return out
+
+
+@given(exact_coeffs, exact_coeffs)
+def test_exact_product_matches_convolution(a, b):
+    pa, pb = Polynomial(a), Polynomial(b)
+    prod = pa * pb
+    if pa.is_zero or pb.is_zero:
+        assert prod.is_zero
+        return
+    assert prod.coeffs == tuple(_convolution(pa.coeffs, pb.coeffs))
+    assert all(isinstance(c, F) for c in prod.coeffs)
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 9, 62, 63, 64, 200])
+def test_exact_product_at_the_slot_bound(bits):
+    # product coefficients of either sign up to the slot bound
+    # max|a| max|b| min(len a, len b) in magnitude
+    top = 2 ** bits
+    for a, b in (([-top] * 5, [-top] * 3), ([top] * 4, [-top] * 4),
+                 ([top, -top] * 3, [top, top, -top]), ([-top], [top - 1] * 6)):
+        assert (Polynomial(a) * Polynomial(b)).coeffs == tuple(_convolution(a, b))
+
+
+def _fraction_horner(coeffs, lam):
+    re, im = F(lam.real), F(lam.imag)
+    ar = ai = F(0)
+    for c in reversed(coeffs):
+        ar, ai = ar * re - ai * im + c, ar * im + ai * re
+    return ar, ai
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+float_points = st.one_of(
+    finite.map(complex),                                   # real only
+    st.integers(-10 ** 6, 10 ** 6).map(complex),           # integer valued
+    st.builds(complex, finite, finite),
+    st.sampled_from([5e-324, -1e-300 + 2.5e-310j, 1e300, 1.7e308 - 3j,
+                     1e-300 + 1e300j]),                    # extreme exponents
+)
+
+
+@given(exact_coeffs, float_points)
+def test_eval_exact_pair_matches_fraction_horner(coeffs, lam):
+    p = Polynomial(coeffs)
+    assert p.eval_exact_pair(lam) == _fraction_horner(p.coeffs, lam)
 
 
 def test_eval_exact_pair_matches_float():
@@ -96,6 +163,23 @@ def test_gcd_matches_euclidean_oracle(rng):
         want = _euclid_gcd(a, b)
         assert got.monic() == want
         assert got.degree >= g.degree or g.degree == 0
+
+
+def test_gcd_coprime_pair_sharing_a_factor_mod_p():
+    # coprime over Q, but x + P is x modulo P: the modular image is not
+    # a proof here, and the exact remainder sequence decides
+    assert poly_gcd(x, x + P61) == Polynomial.one()
+    assert poly_gcd(x + P61, x) == Polynomial.one()
+
+
+def test_gcd_leading_coefficient_divisible_by_p():
+    # h = P x + 1 vanishes from both images mod P, where the cofactors x + 1
+    # and x - 1 are coprime; the gcd must still be h, made monic
+    h = Polynomial([1, P61])
+    f, g = h * (x + 1), h * (x - 1)
+    want = Polynomial([F(1, P61), 1])
+    assert poly_gcd(f, g) == want == _euclid_gcd(f, g)
+    assert poly_gcd(Polynomial([1, P61]), x) == Polynomial.one()
 
 
 def test_series_inverse_roundtrip():
