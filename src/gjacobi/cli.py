@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -39,6 +40,8 @@ def _parse_complex(text):
         re, im = (float(v) for v in text.split(","))
     except ValueError:
         raise CliError(EXIT_PARSE, f"expected 're,im', got {text!r}")
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise CliError(EXIT_PARSE, f"lambda must be finite, got {text!r}")
     return complex(re, im)
 
 
@@ -48,6 +51,8 @@ def _parse_region(text):
         xmin, xmax, ymin, ymax = vals
     except ValueError:
         raise CliError(EXIT_PARSE, f"expected 'xmin,xmax,ymin,ymax', got {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise CliError(EXIT_PARSE, f"region bounds must be finite, got {text!r}")
     if xmax <= xmin or ymax <= ymin:
         raise CliError(EXIT_PARSE, "region bounds must be increasing")
     return xmin, xmax, ymin, ymax
@@ -304,8 +309,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not 0 < args.tol < math.inf:
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_PARSE
     try:
         return args.func(args)

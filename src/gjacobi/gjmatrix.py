@@ -18,6 +18,7 @@ from .errors import (BadRange, NotMonic, OutOfRange, PoleAtLambda,
                      SupportTooWide, TruncationTooShallow)
 from .pfraction import PFraction
 from .poly import Polynomial
+from .series import series_div
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ def companion(p: Polynomial) -> CompanionBlock:
     k = p.degree
     if k < 1:
         raise NotMonic("companion block needs degree >= 1")
-    c = [c for c in p.coeffs]  # p_0 ... p_k, p_k == 1
+    c = p.coeffs  # p_0 ... p_k, p_k == 1
     C = [[Fraction(0)] * k for _ in range(k)]
     for i in range(1, k):
         C[i][i - 1] = Fraction(1)
@@ -51,10 +52,9 @@ def companion(p: Polynomial) -> CompanionBlock:
     E = [[Fraction(c[i + j + 1]) if i + j + 1 <= k else Fraction(0)
           for j in range(k)] for i in range(k)]
     # E = J*L with L unit lower-triangular Toeplitz, l_m = p_{k-m};
-    # the first column y of L^{-1} gives E^{-1}[i][j] = y_{i+j-k+1}
-    y = [Fraction(1)] + [Fraction(0)] * (k - 1)
-    for i in range(1, k):
-        y[i] = -sum(Fraction(c[k - m]) * y[i - m] for m in range(1, i + 1))
+    # the first column y of L^{-1}, the series 1/sum_m l_m z^m, gives
+    # E^{-1}[i][j] = y_{i+j-k+1}
+    y = series_div((1,), [Fraction(v) for v in reversed(c)], k)
     E_inv = [[y[i + j - k + 1] if i + j - k + 1 >= 0 else Fraction(0)
               for j in range(k)] for i in range(k)]
     return CompanionBlock(p=p, C=tuple(map(tuple, C)), E=tuple(map(tuple, E)),

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientMoments, OutOfRange, PoleAtLambda
+from .gjmatrix import m_truncation
 from .moments import MomentSequence
+from .pfraction import PFraction
 from .poly import Polynomial
 from .polyrec import OrthoSequences
 from .series import laurent_coeffs
@@ -32,13 +34,12 @@ class PadeApproximant:
     order: int        # n_j = deg denominator
     block_size: int | None  # k_j of the next step, None past the last term
     j: int
+    source: PFraction
 
     def __call__(self, lam):
-        den = complex(self.denominator.as_float()(complex(lam)))
-        scale = max(1.0, abs(lam)) ** self.order
-        if abs(den) <= 1e-13 * scale:
-            raise PoleAtLambda(f"lambda={lam} is a denominator root")
-        return complex(self.numerator.as_float()(complex(lam))) / den
+        """-Qhat_j/Phat_j at lam as the truncated continued fraction, the
+        m-function of H_[0,j-1]; PoleAtLambda at an eigenvalue of it."""
+        return m_truncation(self.source, self.j - 1, lam)
 
 
 def diagonal(seqs: OrthoSequences, j: int) -> PadeApproximant:
@@ -54,7 +55,7 @@ def diagonal(seqs: OrthoSequences, j: int) -> PadeApproximant:
     pf = seqs.source
     k_next = pf[j].degree if j < len(pf) else None
     return PadeApproximant(numerator=num, denominator=den, order=den.degree,
-                           block_size=k_next, j=j)
+                           block_size=k_next, j=j, source=pf)
 
 
 def match_order(appr: PadeApproximant, s: MomentSequence) -> int:

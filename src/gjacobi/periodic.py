@@ -96,8 +96,6 @@ def _quad_roots(t):
     w1 = (t + s) / 2.0
     if abs(t - s) > abs(t + s):
         w1 = (t - s) / 2.0
-    if w1 == 0:
-        return 0j, 0j
     return w1, 1.0 / w1
 
 
@@ -185,8 +183,7 @@ def scan(mono: Monodromy, pg: PeriodicGJM, region, nx, ny, tol,
     s = np.sqrt(t * t - 4.0)
     plus, minus = (t + s) / 2.0, (t - s) / 2.0
     w1 = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
-    w1 = np.where(w1 == 0, 1.0, w1)  # t=+-2 double root guard
-    w2 = 1.0 / w1
+    w2 = 1.0 / w1  # the roots multiply to 1, so |w1| >= 1
 
     b = math.sqrt(float(pg.terms[-1].b_squared))
     deg = max(e.degree for row in mono.T.entries for e in row)

@@ -16,7 +16,7 @@ from .errors import (AllZero, DegreeCapExceeded, EmptyPFraction,
                      InsufficientMoments, OpenCoupling, OutOfRange)
 from .moments import MomentSequence, normalize, parse_scalar, _scalar_str
 from .poly import Polynomial
-from .series import laurent_coeffs, series_inv
+from .series import laurent_coeffs, series_div
 
 STATUS_OPEN = "open"
 STATUS_TERMINATED = "terminated"
@@ -132,15 +132,10 @@ def expand_step(tail: MomentSequence):
         raise InsufficientMoments(
             f"block degree {k} needs depth {2 * k}, have {depth}"
         )
-    lead = tail[i0]
-    eps = 1 if lead > 0 else -1
-    # -1/phi = lambda^k * V(1/lambda) with V = U^{-1}, U(z) = sum s_{k-1+i} z^i
-    u = [tail[k - 1 + i] for i in range(depth - k + 1)]
-    v = series_inv(u, len(u))
-    if tail.is_exact:
-        p = Polynomial([eps * v[k - m] for m in range(k + 1)])
-    else:
-        p = Polynomial([v[k - m] / v[0] for m in range(k)] + [1.0])
+    eps = 1 if tail[i0] > 0 else -1
+    # -1/phi = lambda^k * V(1/lambda) with V = 1/U, U(z) = sum s_{k-1+i} z^i
+    v = series_div((1,), tail.coeffs[i0:], depth - i0)
+    p = Polynomial([v[k - m] / v[0] for m in range(k + 1)])
     rem = [-v[k + 1 + j] for j in range(depth - 2 * k)]
     nz = next((j for j, c in enumerate(rem) if not _zeroish(c, tail)), None)
     if nz is None:

@@ -89,6 +89,31 @@ def test_pade_convergence_table(catalan_file, tmp_path, capsys):
     assert "match_order" in err and "fitted error ratio" in err
 
 
+def test_pade_at_large_lambda(catalan_file, tmp_path):
+    # |lambda|^n_j overflows a float long before the continued fraction does
+    out = tmp_path / "big.csv"
+    assert main(["--out", str(out), "pade", catalan_file,
+                 "--lambda", "1e160,0", "--orders", "1..6"]) == 0
+    rows = [l.split(",") for l in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 6
+    for row in rows:
+        value = complex(float(row[2]), float(row[3]))
+        assert abs(value + 1e-160) <= 1e-12 * 1e-160
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "{pf}", "--lambda", "nan,0"],
+    ["pade", "{moments}", "--lambda", "3,inf"],
+    ["spectrum", "{pf}", "--period", "1", "--region=nan,1,0,1"],
+    ["spectrum", "{pf}", "--period", "1", "--region=-inf,1,0,1"],
+    ["--tol", "inf", "spectrum", "{pf}", "--period", "1", "--grid", "3"],
+    ["--tol", "nan", "expand", "{moments}"],
+])
+def test_non_finite_arguments_are_parse_errors(catalan_file, pfraction_file, argv):
+    files = {"pf": pfraction_file, "moments": catalan_file}
+    assert main([a.format(**files) for a in argv]) == 2
+
+
 def test_pade_all_poles_exit_code(tmp_path):
     # moments of 1/(lambda^2 - 1): every diagonal approximant has a pole at 1
     path = tmp_path / "sec.json"

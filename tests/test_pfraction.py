@@ -17,7 +17,7 @@ x = Polynomial.x()
 
 
 def _naive_reciprocal(c, n):
-    """Schoolbook coefficient recursion for 1/c, independent of series_inv."""
+    """Schoolbook coefficient recursion for 1/c, independent of series_div."""
     inv = [1 / c[0]]
     for i in range(1, n):
         acc = 0 * c[0]
@@ -133,6 +133,22 @@ def test_to_moments_float_data_rounds_exact_values():
     s = to_moments(PFraction.from_json(data), 160)
     assert s.coeffs == tuple(float(v) for v in to_moments(exact, 160).coeffs)
     assert s.scale == 1.0 and isinstance(s.scale, float)
+
+
+def test_expand_float_moments_with_a_small_coupling():
+    # float moments of a 4-term fraction with one small coupling: the
+    # remainder's rounding noise must not be read as a further term
+    spec = [(1, 1e-6, x), (-1, 1.0, x * x - 1), (1, 2.0, x), (1, None, x)]
+    pf = PFraction(tuple(PFractionTerm(e, b2, p.as_float()) for e, b2, p in spec))
+    s = to_moments(pf, 2 * pf.normal_index(len(pf)) + 4)
+    assert not s.is_exact
+    back = expand(s, 10, 6)
+    assert back.block_degrees() == (1, 2, 1, 1)
+    assert back.status == "terminated"
+    assert [t.epsilon for t in back.terms] == [1, -1, 1, 1]
+    assert back[0].b_squared == pytest.approx(1e-6, rel=1e-9)
+    assert back[1].b_squared == pytest.approx(1.0, rel=1e-9)
+    assert back[2].b_squared == pytest.approx(2.0, rel=1e-9)
 
 
 def test_json_roundtrip():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gjacobi.poly import Polynomial, poly_gcd
-from gjacobi.series import series_inv, series_mul
+from gjacobi.series import series_div
 
 F = Fraction
 x = Polynomial.x()
@@ -182,19 +182,24 @@ def test_gcd_leading_coefficient_divisible_by_p():
     assert poly_gcd(Polynomial([1, P61]), x) == Polynomial.one()
 
 
+def _times(series, c, n):
+    """First n coefficients of series * c, by a Polynomial product."""
+    return (list((Polynomial(series) * Polynomial(c)).coeffs) + [0] * n)[:n]
+
+
 def test_series_inverse_roundtrip():
     c = [F(2), F(-1), F(1, 3), F(0), F(5)]
-    inv = series_inv(c, 8)
-    prod = series_mul(c, inv, 8)
-    assert prod[0] == 1 and all(v == 0 for v in prod[1:])
+    assert _times(series_div((1,), c, 8), c, 8) == [1] + [0] * 7
+    num = [F(1, 2), F(0), F(-3)]
+    assert _times(series_div(num, c, 8), c, 8) == num + [0] * 5
     with pytest.raises(ZeroDivisionError):
-        series_inv([F(0), F(1)], 3)
+        series_div((1,), [F(0), F(1)], 3)
 
 
-@given(st.lists(small_fracs, min_size=1, max_size=6))
-def test_series_inverse_property(c):
+@given(st.lists(small_fracs, min_size=1, max_size=6),
+       st.lists(small_fracs, min_size=0, max_size=6))
+def test_series_inverse_property(c, num):
     if c[0] == 0:
         return
-    n = len(c) + 2
-    prod = series_mul(c, series_inv(c, n), n)
-    assert prod[0] == 1 and all(v == 0 for v in prod[1:])
+    n = len(c) + len(num) + 2
+    assert _times(series_div(num, c, n), c, n) == (list(num) + [0] * n)[:n]
