@@ -15,8 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import gjmatrix, pade, periodic, polyrec, spectral
-from .errors import (EmptyPFraction, GJacobiError, InsufficientMoments,
-                     PoleAtLambda)
+from .errors import GJacobiError, InsufficientMoments, PoleAtLambda
 from .moments import MomentSequence, normal_indices
 from .pfraction import PFraction, expand, to_moments
 from .poly import Polynomial
@@ -185,19 +184,15 @@ def cmd_spectrum(args):
     obj = _load_input(args.input, args.exact)
     if not isinstance(obj, PFraction):
         raise CliError(EXIT_PARSE, "spectrum needs a pfraction input")
-    if len(obj) == 0:
-        raise EmptyPFraction("P-fraction has no terms")
     s = args.period
     if s < 1 or len(obj) % s != 0:
         raise CliError(EXIT_PERIOD,
                        f"period {s} does not divide term count {len(obj)}")
-    if any(t.b_squared is None for t in obj.terms[:s]):
-        raise CliError(EXIT_DATA, "periodic data needs couplings on all terms")
     pg = periodic.PeriodicGJM(obj.terms[:s])
     mono = periodic.monodromy(pg)
     region = _parse_region(args.region)
     nx, ny = _parse_grid(args.grid)
-    sc = periodic.scan(mono, pg, region, nx, ny, args.tol, seed=args.seed)
+    sc = periodic.scan(mono, pg, region, nx, ny, args.tol)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(sc.to_csv())
@@ -265,7 +260,6 @@ def build_parser():
     ring.add_argument("--float", dest="exact", action="store_false",
                       help="parse scalars as floats")
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -1,8 +1,9 @@
 """Moment sequences, Hankel determinants and normal indices.
 
 A moment sequence holds the coefficients s_0, s_1, ... of the series
--s_0/lambda - s_1/lambda^2 - ...  Exact sequences carry Fraction entries;
-float sequences get a tolerance-based zero test (see FLOAT_ZERO_TOL).
+-s_0/lambda - s_1/lambda^2 - ...  Exact sequences carry Fraction entries
+(int entries become Fractions); float sequences get a tolerance-based zero
+test (see FLOAT_ZERO_TOL).
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import AllZero, InsufficientMoments
 
@@ -27,7 +30,8 @@ class MomentSequence:
     certified_up_to: int | None = None  # highest certified index, None = all
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            Fraction(c) if isinstance(c, int) else c for c in self.coeffs))
         if len(self.coeffs) < 1:
             raise ValueError("moment sequence must have at least one entry")
 
@@ -39,7 +43,7 @@ class MomentSequence:
 
     @property
     def is_exact(self):
-        return all(isinstance(c, (Fraction, int)) for c in self.coeffs)
+        return all(isinstance(c, Fraction) for c in self.coeffs)
 
     def is_zero_entry(self, i):
         return _is_zero(self.coeffs[i], self.coeffs)
@@ -114,7 +118,7 @@ def hankel_det(s: MomentSequence, n: int):
     """Determinant of the n x n Hankel matrix (s_{i+k})_{i,k=0}^{n-1}.
 
     Exact sequences use fraction-free Bareiss elimination; float sequences
-    fall back to plain elimination with partial pivoting.
+    use numpy's LU determinant.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -124,8 +128,8 @@ def hankel_det(s: MomentSequence, n: int):
         )
     mat = [[s[i + k] for k in range(n)] for i in range(n)]
     if s.is_exact:
-        return _bareiss_det([[Fraction(v) for v in row] for row in mat])
-    return _float_det([[float(v) for v in row] for row in mat])
+        return _bareiss_det(mat)
+    return float(np.linalg.det(np.array(mat, dtype=float)))
 
 
 def _bareiss_det(m):
@@ -148,24 +152,6 @@ def _bareiss_det(m):
     return sign * m[n - 1][n - 1]
 
 
-def _float_det(m):
-    n = len(m)
-    det = 1.0
-    for k in range(n):
-        piv = max(range(k, n), key=lambda r: abs(m[r][k]))
-        if m[piv][k] == 0.0:
-            return 0.0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return det
-
-
 def normal_indices(s: MomentSequence, n_max: int) -> NormalIndexList:
     """All n <= n_max whose Hankel determinant is nonzero."""
     if 2 * n_max - 1 > len(s):
@@ -185,7 +171,7 @@ def normal_indices(s: MomentSequence, n_max: int) -> NormalIndexList:
                 nonzero = False
             else:
                 mat = [[win[i + k] / m for k in range(n)] for i in range(n)]
-                nonzero = abs(_float_det(mat)) > FLOAT_ZERO_TOL
+                nonzero = abs(np.linalg.det(mat)) > FLOAT_ZERO_TOL
         if nonzero:
             found.append(n)
     return NormalIndexList(tuple(found), certified_up_to=n_max)

@@ -11,15 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRange
+from .errors import BadRange, EmptyPFraction, OpenCoupling
 from .pfraction import PFraction
 from .poly import Polynomial
 from .polyrec import TransferMatrix, transfer_product
-from .roots import all_roots
 
 LABEL_RESOLVENT = "resolvent"
 LABEL_E = "E"
 LABEL_EP = "E_p"
+# relative rounding margin by which |w11| must exceed |w22| at a root of
+# P_{s-1} for the root to count as an eigenvalue
+EP_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,9 +33,9 @@ class PeriodicGJM:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
-            raise ValueError("period must contain at least one term")
+            raise EmptyPFraction("period must contain at least one term")
         if any(t.b_squared is None for t in self.terms):
-            raise ValueError("periodic data needs a coupling on every term")
+            raise OpenCoupling("periodic data needs a coupling on every term")
 
     @property
     def period(self):
@@ -133,7 +135,7 @@ class SpectrumScan:
     trace_values: object
     w1_abs: object
     w2_abs: object
-    ep_points: tuple     # root-refined eigenvalue candidates
+    ep_points: tuple     # roots of P_{s-1} in the region that pass the modulus test
 
     def to_csv(self):
         lines = ["re,im,label,trace_re,trace_im,w1_abs,w2_abs"]
@@ -159,13 +161,15 @@ class SpectrumScan:
         })
 
 
-def scan(mono: Monodromy, pg: PeriodicGJM, region, nx, ny, tol,
-         seed=0) -> SpectrumScan:
-    """Classify a rectangular grid and root-refine the eigenvalue candidates.
+def scan(mono: Monodromy, pg: PeriodicGJM, region, nx, ny, tol) -> SpectrumScan:
+    """Classify a rectangular grid and list the eigenvalues E_p in the region.
 
-    Grid labels are tolerance-dependent; candidate eigenvalues are the roots
-    of P_{s-1} inside the region, kept only when the modulus inequality
-    |b_{s-1} Q_{s-1}| > |P_s| holds at the refined root.
+    Grid labels are tolerance-dependent.  Candidate eigenvalues are the roots
+    of P_{s-1} inside the region (companion-matrix eigenvalues, np.roots),
+    kept only when the modulus inequality |b_{s-1} Q_{s-1}| > |P_s| holds at
+    the root by more than a rounding margin.  At a root the two multipliers
+    are w11 and w22 with w11 w22 = 1, so a tie |w11| = |w22| = 1 puts the
+    point on E, not E_p.
     """
     if nx < 2 or ny < 2:
         raise BadRange("grid must be at least 2x2")
@@ -175,10 +179,7 @@ def scan(mono: Monodromy, pg: PeriodicGJM, region, nx, ny, tol,
     Z = xs[None, :] + 1j * ys[:, None]
 
     (a, _), (c, d) = mono.T.entries
-    w11 = _polyval(a, Z)
-    w21 = _polyval(c, Z)
-    w22 = _polyval(d, Z)
-    t = _polyval(mono.trace, Z)
+    w11, w21, w22, t = (np.polyval(_high_to_low(p), Z) for p in (a, c, d, mono.trace))
 
     s = np.sqrt(t * t - 4.0)
     plus, minus = (t + s) / 2.0, (t - s) / 2.0
@@ -191,19 +192,19 @@ def scan(mono: Monodromy, pg: PeriodicGJM, region, nx, ny, tol,
     # the grid can only resolve the trace condition to within one cell, so
     # widen tol by how far the trace moves across half a cell diagonal
     half_diag = 0.5 * math.hypot((xmax - xmin) / (nx - 1), (ymax - ymin) / (ny - 1))
-    t_slack = tol + np.abs(_polyval(_derivative(mono.trace), Z)) * half_diag
+    t_slack = tol + np.abs(np.polyval(np.polyder(_high_to_low(mono.trace)), Z)) * half_diag
     is_ep = (np.abs(w21) <= tol * scale) & (np.abs(w11) > np.abs(w22) + tol * scale)
     is_e = (np.abs(t.imag) <= t_slack) & (t.real >= -2.0 - t_slack) & (t.real <= 2.0 + t_slack)
     labels = np.where(is_ep, LABEL_EP, np.where(is_e, LABEL_E, LABEL_RESOLVENT))
 
-    # root-refined eigenvalue candidates: zeros of P_{s-1} = w21/(eps b)
+    # eigenvalue candidates: zeros of P_{s-1} = w21/(eps b)
     ep = []
-    for z in all_roots([complex(v) for v in c.as_float().coeffs], seed=seed):
+    for z in map(complex, np.roots(_high_to_low(c))):
         if not (xmin - tol <= z.real <= xmax + tol
                 and ymin - tol <= z.imag <= ymax + tol):
             continue
         v11, _, _, v22 = mono.entry_values(z)
-        if abs(v11) > abs(v22):
+        if abs(v11) - abs(v22) > EP_MARGIN * max(abs(v11), abs(v22)):
             ep.append(z)
     return SpectrumScan(region=tuple(region), nx=nx, ny=ny, tol=tol,
                         points=Z, labels=labels, trace_values=t,
@@ -211,14 +212,6 @@ def scan(mono: Monodromy, pg: PeriodicGJM, region, nx, ny, tol,
                         ep_points=tuple(ep))
 
 
-def _derivative(p: Polynomial) -> Polynomial:
-    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
-
-
-def _polyval(p: Polynomial, Z):
-    acc = np.zeros_like(Z)
-    for coeff in reversed(p.as_float().coeffs):
-        acc = acc * Z + complex(coeff)
-    if p.is_zero:
-        acc = np.zeros_like(Z)
-    return acc
+def _high_to_low(p: Polynomial):
+    """Float coefficients, highest degree first, as numpy's polynomials take them."""
+    return np.array(p.as_float().coeffs[::-1], dtype=float)

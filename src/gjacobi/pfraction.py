@@ -160,16 +160,10 @@ def expand(s: MomentSequence, max_terms: int, degree_cap: int) -> PFraction:
     terms = []
     status = STATUS_OPEN
     while len(terms) < max_terms:
-        if tail is None:
-            status = STATUS_EXHAUSTED
-            break
-        i0 = tail.first_nonzero()
-        if i0 is None:
-            # zero through the known depth: terminated only if the depth
-            # could certify at least a degree-1 block
-            status = STATUS_TERMINATED if len(tail) >= 2 else STATUS_EXHAUSTED
-            break
-        k = i0 + 1
+        # never None or all zero here: normalize leaves a nonzero entry, an
+        # uncoupled step ends the loop, a coupled step's tail holds +-1, and
+        # the relative zero test never drops a tail's largest entry
+        k = tail.first_nonzero() + 1
         if k > degree_cap:
             raise DegreeCapExceeded(f"block degree {k} exceeds cap {degree_cap}")
         if len(tail) < 2 * k:

@@ -231,5 +231,11 @@ def test_selftest(capsys):
     assert "FAIL" not in out and "ok" in out
 
 
+def test_seed_flag_is_gone(pfraction_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1", "spectrum", pfraction_file, "--period", "1"])
+    assert exc.value.code == 2
+
+
 def test_tol_validation(catalan_file):
     assert main(["--tol", "-1", "expand", catalan_file]) == 2

@@ -1,12 +1,15 @@
 import itertools
+from itertools import accumulate
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import random_pfraction
 from gjacobi.errors import AllZero, InsufficientMoments
 from gjacobi.moments import (MomentSequence, hankel_det, normal_indices,
                              normalize, parse_scalar)
+from gjacobi.pfraction import expand, to_moments
 
 F = Fraction
 
@@ -61,6 +64,23 @@ def test_normal_indices_catalan_and_degenerate():
     assert ni.block_degrees()[0] == 2
 
 
+def test_normal_indices_float_moments_match_exact(rng):
+    # the float branch tests the Hankel determinant of the unit-max-norm
+    # window against FLOAT_ZERO_TOL.  That absolute bound is only sound for
+    # small windows: from n = 4 on, random data have true determinants of
+    # 1e-14 at that scale, so the comparison stops at n = 3.
+    cat = [1, 0, 1, 0, 2, 0, 5]
+    assert normal_indices(MomentSequence(tuple(map(float, cat))), 4).indices \
+        == normal_indices(MomentSequence(tuple(map(F, cat))), 4).indices
+    for _ in range(40):
+        pf = random_pfraction(rng, rng.randint(1, 4), 3)
+        exact = to_moments(pf, 5)
+        floats = MomentSequence(tuple(float(v) for v in exact.coeffs))
+        want = normal_indices(exact, 3).indices
+        assert want == tuple(n for n in accumulate(pf.block_degrees()) if n <= 3)
+        assert normal_indices(floats, 3).indices == want
+
+
 def test_normalize_scales_first_nonzero_to_unit():
     s = MomentSequence((F(0), F(-3), F(6)))
     ns = normalize(s)
@@ -70,6 +90,18 @@ def test_normalize_scales_first_nonzero_to_unit():
     assert again.coeffs == ns.coeffs
     with pytest.raises(AllZero):
         normalize(MomentSequence((F(0), F(0))))
+
+
+def test_int_moments_are_exact():
+    ints = MomentSequence((1, 0, 1, 0, 2, 0, 5, 0))
+    twin = MomentSequence(tuple(F(v) for v in ints.coeffs))
+    assert ints.is_exact and all(type(c) is F for c in ints.coeffs)
+    pf = expand(ints, 4, 3)
+    assert pf == expand(twin, 4, 3)
+    # == does not see the ring (F(1) == 1.0), so check the types too
+    assert all(type(c) is F for t in pf.terms for c in (t.b_squared or F(1), *t.p.coeffs))
+    halved = normalize(MomentSequence((0, 2, 4))).coeffs
+    assert halved == (0, 1, 2) and all(type(c) is F for c in halved)
 
 
 def test_json_roundtrip():

@@ -78,6 +78,17 @@ def test_match_order_examples():
         pade.match_order(pade.diagonal(seqs, 3), MomentSequence((F(1),) * 5))
 
 
+def test_match_order_float_moments_agree_with_exact():
+    cat = [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0]
+    exact = MomentSequence(tuple(F(v) for v in cat))
+    floats = MomentSequence(tuple(float(v) for v in cat))
+    assert not floats.is_exact
+    seqs = polyrec.generate(catalan_pfraction(6), 5)
+    for j in range(1, 6):
+        appr = pade.diagonal(seqs, j)
+        assert pade.match_order(appr, floats) == pade.match_order(appr, exact)
+
+
 def test_match_order_contract_on_pipeline_data(rng):
     for _ in range(6):
         pf = random_pfraction(rng, 4)

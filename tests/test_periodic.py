@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_pfraction
 from gjacobi import periodic, polyrec
-from gjacobi.errors import BadRange
+from gjacobi.errors import BadRange, EmptyPFraction, OpenCoupling
 from gjacobi.pfraction import PFractionTerm
 from gjacobi.poly import Polynomial
 
@@ -34,9 +34,9 @@ def _eigenvalue_period():
 
 
 def test_periodic_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyPFraction):
         periodic.PeriodicGJM(())
-    with pytest.raises(ValueError):
+    with pytest.raises(OpenCoupling):
         periodic.PeriodicGJM((PFractionTerm(1, None, x),))
     pg = _eigenvalue_period()
     assert pg.period == 2
@@ -162,6 +162,31 @@ def test_scan_finds_eigenvalue():
     assert summary["ep_points"] == [[0.0, 0.0]]
     assert summary["grid"] == [61, 61]
     assert set(summary["label_counts"]) <= {"E", "E_p", "resolvent"}
+
+
+def test_scan_leaves_multiplier_ties_out_of_ep():
+    # at the roots 1 -+ i sqrt(2) of P_1 = x^2 - 2x + 3 both multipliers are
+    # unimodular (|w11| = |w22| = 1 up to rounding), so the points lie on E
+    pg = periodic.PeriodicGJM((PFractionTerm(-1, F(1, 4), x * x - 2 * x + 3),
+                               PFractionTerm(-1, F(1, 4), x + 1)))
+    mono = periodic.monodromy(pg)
+    sc = periodic.scan(mono, pg, (-3, 3, -3, 3), 21, 21, 1e-3)
+    assert sc.ep_points == ()
+
+
+def test_scan_ep_points_closed_under_conjugation():
+    # real coefficients: a conjugate pair of roots is kept or dropped together
+    rng = random.Random(2)
+    region = (-6, 6, -6, 6)
+    found = 0
+    for _ in range(200):
+        pg = periodic.PeriodicGJM(random_pfraction(rng, rng.randint(1, 8), 3).terms)
+        mono = periodic.monodromy(pg)
+        ep = periodic.scan(mono, pg, region, 2, 2, 1e-3).ep_points
+        found += len(ep)
+        for z in ep:
+            assert min(abs(w - z.conjugate()) for w in ep) <= 1e-9 * max(1.0, abs(z))
+    assert found > 0
 
 
 def test_scan_csv_format():

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import catalan_pfraction, example64_pfraction, random_pfraction
 from gjacobi import polyrec
 from gjacobi.errors import NotEnoughTerms, OutOfRange
+from gjacobi.pfraction import PFraction
 from gjacobi.poly import Polynomial
 
 F = Fraction
@@ -47,6 +49,27 @@ def test_lo_defect_small_at_random_points(rng):
         lam = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
         for j in range(6):
             assert polyrec.lo_defect(seqs, j, lam) <= 1e-10
+
+
+def test_lo_defect_float_fallback_on_decimal_data(rng):
+    # decimal-parsed couplings make b2_products floats, so lo_defect takes
+    # its float route through normalized_values.  That route subtracts two
+    # products of growing values, so its floor is rounding relative to them.
+    for _ in range(4):
+        data = json.loads(random_pfraction(rng, 6).to_json())
+        for t in data["terms"]:
+            t["b_squared"] = repr(float(Fraction(t["b_squared"])))
+            t["p"] = [repr(float(Fraction(c))) for c in t["p"]]
+        pf = PFraction.from_json(json.dumps(data))
+        seqs = polyrec.generate(pf, 5)
+        assert isinstance(seqs.b2_products[1], float)
+        for _ in range(4):
+            lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            P, Q = polyrec.normalized_values(pf, lam, 5)
+            for j in range(5):
+                b = math.sqrt(pf[j].b_squared)
+                size = b * max(abs(Q[j + 1] * P[j]), abs(Q[j] * P[j + 1]))
+                assert polyrec.lo_defect(seqs, j, lam) <= 1e-10 * max(1.0, size)
 
 
 def test_transfer_matrix_entries_match_polynomials():
