@@ -114,13 +114,9 @@ def _extend_cyclic(pf, n_terms):
     if pf.status == "terminated":
         raise CliError(EXIT_DATA,
                        "cannot extend a terminated fraction to the requested depth")
-    pattern = pf.terms
-    if pattern and pattern[-1].b_squared is None:
-        pattern = pattern[:-1]  # coupling unknown, not absent; drop from pattern
-    if not pattern:
-        raise CliError(EXIT_DATA, "too few coupled terms to extend cyclically")
-    terms = tuple(pattern[i % len(pattern)] for i in range(n_terms))
-    return PFraction(terms, status=pf.status, degree_cap=pf.degree_cap)
+    # only the last term may be open: its coupling is unknown, not absent
+    pattern = tuple(t for t in pf.terms if t.b_squared is not None)
+    return periodic.PeriodicGJM(pattern).unroll(n_terms)
 
 
 def _write(args, text):

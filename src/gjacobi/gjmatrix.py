@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (BadRange, NotMonic, OutOfRange, PoleAtLambda,
-                     SupportTooWide, TruncationTooShallow)
+from .errors import (BadRange, EmptyPFraction, NotMonic, OutOfRange,
+                     PoleAtLambda, SupportTooWide, TruncationTooShallow)
 from .pfraction import PFraction
 from .poly import Polynomial
 from .series import series_div
@@ -167,7 +167,7 @@ class GJMatrix:
 def assemble(pf: PFraction) -> GJMatrix:
     """Build the generalized Jacobi matrix of a P-fraction."""
     if len(pf) == 0:
-        raise ValueError("cannot assemble an empty P-fraction")
+        raise EmptyPFraction("cannot assemble an empty P-fraction")
     return GJMatrix(blocks=tuple(companion(t.p) for t in pf.terms), source=pf)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import BadRange, EmptyPFraction, OpenCoupling
 from .pfraction import PFraction
 from .poly import Polynomial
-from .polyrec import TransferMatrix, transfer_product
+from .polyrec import generate
 
 LABEL_RESOLVENT = "resolvent"
 LABEL_E = "E"
@@ -57,48 +57,48 @@ class Monodromy:
     of w^2 - t(lambda) w + 1 = 0 where t = trace T.
     """
 
-    T: TransferMatrix
+    T: tuple  # ((w11, w12), (w21, w22)), float Polynomials
     trace: Polynomial
     period: int
-    det_defect: float  # coefficient max-norm of det T - 1
 
     def entry_values(self, lam):
-        (a, b), (c, d) = self.T.entries
+        (a, b), (c, d) = self.T
         lam = complex(lam)
         return (complex(a(lam)), complex(b(lam)),
                 complex(c(lam)), complex(d(lam)))
 
 
 def monodromy(pg: PeriodicGJM) -> Monodromy:
+    """Monodromy from the exact recurrence pair over one period.
+
+    With Pi = b_0^2 ... b_{s-1}^2 and c = eps_{s-1} b_{s-1}^2, T = Pi^(-1/2) M
+    for M = [[-c Qhat_{s-1}, -Qhat_s], [c Phat_{s-1}, Phat_s]].  det M = Pi is
+    the exact Liouville-Ostrogradsky identity at j = s-1, so det T = 1 up to
+    the one rounding of each entry to float.
+    """
     s = pg.period
-    pf = pg.unroll(s)
-    T = transfer_product(pf, s - 1)
-    (a, _), (_, d) = T.entries
-    trace = a + d
-    det = T.det()
-    defect = max((abs(complex(c)) for c in (det - Polynomial.one()).coeffs),
-                 default=0.0)
-    # det T's coefficients are sums of products of two entries' coefficients,
-    # which grow with the period, so the rounding floor scales with their square
-    size = max(abs(complex(c)) for row in T.entries for e in row for c in e.coeffs)
-    tol = 1e-10 * max(1.0, size) ** 2
-    if defect > tol:
-        raise ArithmeticError(f"monodromy determinant defect {defect} > {tol:.3g}")
-    return Monodromy(T=T, trace=trace, period=s, det_defect=defect)
+    seqs = generate(pg.unroll(s), s)
+    P, Q = seqs.Phat, seqs.Qhat
+    last = pg.terms[-1]
+    c = last.epsilon * last.b_squared
+    scale = 1.0 / math.sqrt(float(seqs.b2_products[s]))
+    T = tuple(tuple(e.as_float().scale(scale) for e in row)
+              for row in ((-c * Q[s - 1], -Q[s]), (c * P[s - 1], P[s])))
+    trace = (P[s] - c * Q[s - 1]).as_float().scale(scale)
+    return Monodromy(T=T, trace=trace, period=s)
 
 
 def multipliers(mono: Monodromy, lam):
     """Floquet multipliers (w_1, w_2), |w_1| >= |w_2|, w_1 w_2 = 1."""
-    t = complex(mono.trace(complex(lam)))
-    return _quad_roots(t)
-
-
-def _quad_roots(t):
-    s = np.sqrt(complex(t) * t - 4.0)
-    w1 = (t + s) / 2.0
-    if abs(t - s) > abs(t + s):
-        w1 = (t - s) / 2.0
+    w1 = complex(_larger_root(complex(mono.trace(complex(lam)))))
     return w1, 1.0 / w1
+
+
+def _larger_root(t):
+    """Root of w^2 - t w + 1 = 0 of larger modulus, elementwise in t."""
+    s = np.sqrt(t * t - 4.0)
+    plus, minus = (t + s) / 2.0, (t - s) / 2.0
+    return np.where(np.abs(plus) >= np.abs(minus), plus, minus)
 
 
 def classify(mono: Monodromy, pg: PeriodicGJM, lam, tol) -> str:
@@ -110,18 +110,25 @@ def classify(mono: Monodromy, pg: PeriodicGJM, lam, tol) -> str:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lam = complex(lam)
-    w11, _, w21, w22 = mono.entry_values(lam)
-    # w21 = eps b P_{s-1}, w11 = -eps b Q_{s-1}
+    z = np.asarray(complex(lam))
+    t = np.polyval(_high_to_low(mono.trace), z)
+    return str(_labels(mono, pg, z, t, tol, tol))
+
+
+def _labels(mono, pg, Z, t, tol, t_slack):
+    """E_p / E / resolvent labels at the points Z with trace values t.
+
+    E_p needs |w21| within tol of 0 and |w11| above |w22| by tol, both scaled
+    by b_{s-1} max(1, |z|)^deg; E needs t within t_slack of [-2, 2].
+    """
+    (a, _), (c, d) = mono.T
+    w11, w21, w22 = (np.polyval(_high_to_low(p), Z) for p in (a, c, d))
     b = math.sqrt(float(pg.terms[-1].b_squared))
-    deg = max(d.degree for row in mono.T.entries for d in row)
-    scale = b * max(1.0, abs(lam)) ** deg
-    if abs(w21) <= tol * scale and abs(w11) > abs(w22) + tol * scale:
-        return LABEL_EP
-    t = complex(mono.trace(lam))
-    if abs(t.imag) <= tol and -2.0 - tol <= t.real <= 2.0 + tol:
-        return LABEL_E
-    return LABEL_RESOLVENT
+    deg = max(e.degree for row in mono.T for e in row)
+    scale = b * np.maximum(1.0, np.abs(Z)) ** deg
+    is_ep = (np.abs(w21) <= tol * scale) & (np.abs(w11) > np.abs(w22) + tol * scale)
+    is_e = (np.abs(t.imag) <= t_slack) & (t.real >= -2.0 - t_slack) & (t.real <= 2.0 + t_slack)
+    return np.where(is_ep, LABEL_EP, np.where(is_e, LABEL_E, LABEL_RESOLVENT))
 
 
 @dataclass(frozen=True)
@@ -178,28 +185,18 @@ def scan(mono: Monodromy, pg: PeriodicGJM, region, nx, ny, tol) -> SpectrumScan:
     ys = np.linspace(ymin, ymax, ny)
     Z = xs[None, :] + 1j * ys[:, None]
 
-    (a, _), (c, d) = mono.T.entries
-    w11, w21, w22, t = (np.polyval(_high_to_low(p), Z) for p in (a, c, d, mono.trace))
-
-    s = np.sqrt(t * t - 4.0)
-    plus, minus = (t + s) / 2.0, (t - s) / 2.0
-    w1 = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
+    t = np.polyval(_high_to_low(mono.trace), Z)
+    w1 = _larger_root(t)
     w2 = 1.0 / w1  # the roots multiply to 1, so |w1| >= 1
-
-    b = math.sqrt(float(pg.terms[-1].b_squared))
-    deg = max(e.degree for row in mono.T.entries for e in row)
-    scale = b * np.maximum(1.0, np.abs(Z)) ** deg
     # the grid can only resolve the trace condition to within one cell, so
     # widen tol by how far the trace moves across half a cell diagonal
     half_diag = 0.5 * math.hypot((xmax - xmin) / (nx - 1), (ymax - ymin) / (ny - 1))
     t_slack = tol + np.abs(np.polyval(np.polyder(_high_to_low(mono.trace)), Z)) * half_diag
-    is_ep = (np.abs(w21) <= tol * scale) & (np.abs(w11) > np.abs(w22) + tol * scale)
-    is_e = (np.abs(t.imag) <= t_slack) & (t.real >= -2.0 - t_slack) & (t.real <= 2.0 + t_slack)
-    labels = np.where(is_ep, LABEL_EP, np.where(is_e, LABEL_E, LABEL_RESOLVENT))
+    labels = _labels(mono, pg, Z, t, tol, t_slack)
 
     # eigenvalue candidates: zeros of P_{s-1} = w21/(eps b)
     ep = []
-    for z in map(complex, np.roots(_high_to_low(c))):
+    for z in map(complex, np.roots(_high_to_low(mono.T[1][0]))):
         if not (xmin - tol <= z.real <= xmax + tol
                 and ymin - tol <= z.imag <= ymax + tol):
             continue

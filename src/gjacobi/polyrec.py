@@ -1,10 +1,11 @@
-"""Associated polynomials, transfer matrices and related exact identities.
+"""Associated polynomials of the three-term recurrence and exact identities.
 
 All exact work lives in the monic-scaled sequences Phat_j, Qhat_j, which obey
 uhat_{j+1} = p_j uhat_j - eps_{j-1} eps_j b_{j-1}^2 uhat_{j-1} and involve
 only b^2.  The normalized P_j, Q_j (each Phat_j, Qhat_j divided by
 b_0...b_{j-1}) exist only as float values, computed by the recurrence sweep
-of normalized_values without expanding any polynomial.
+of normalized_values without expanding any polynomial.  The periodic
+monodromy is built from the exact pair Phat_s, Qhat_s (see periodic).
 """
 
 from __future__ import annotations
@@ -34,29 +35,6 @@ class OrthoSequences:
     def check_range(self, j, *, lo=0):
         if not lo <= j <= self.j_max:
             raise OutOfRange(f"j={j} outside generated range [{lo}, {self.j_max}]")
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 polynomial matrix; products of single-step matrices have det 1."""
-
-    entries: tuple  # ((w11, w12), (w21, w22)), float Polynomials
-
-    def __call__(self, lam):
-        (a, b), (c, d) = self.entries
-        return ((a(lam), b(lam)), (c(lam), d(lam)))
-
-    def det(self) -> Polynomial:
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
-
-    def matmul(self, other) -> "TransferMatrix":
-        (a, b), (c, d) = self.entries
-        (e, f), (g, h) = other.entries
-        return TransferMatrix((
-            (a * e + b * g, a * f + b * h),
-            (c * e + d * g, c * f + d * h),
-        ))
 
 
 def generate(pf: PFraction, j_max: int) -> OrthoSequences:
@@ -104,28 +82,6 @@ def normalized_values(pf: PFraction, lam, J: int):
         Q.append((pj * Q[-1] - c * Q[-2]) / b)
         eps_prev, b_prev = term.epsilon, b
     return P[1:], Q[1:]
-
-
-def single_transfer(term) -> TransferMatrix:
-    """W_j = [[0, -eps/b], [eps*b, p/b]] with float coefficients."""
-    if term.b_squared is None:
-        raise NotEnoughTerms("final term without coupling has no transfer matrix")
-    b = math.sqrt(float(term.b_squared))
-    eps = term.epsilon
-    return TransferMatrix((
-        (Polynomial.zero(), Polynomial((-eps / b,))),
-        (Polynomial((eps * b,)), term.p.as_float().scale(1.0 / b)),
-    ))
-
-
-def transfer_product(pf: PFraction, j: int) -> TransferMatrix:
-    """W_[0,j] = W_0 ... W_j (float polynomial entries)."""
-    if len(pf) < j + 1:
-        raise NotEnoughTerms(f"need {j + 1} terms, have {len(pf)}")
-    acc = single_transfer(pf[0])
-    for i in range(1, j + 1):
-        acc = acc.matmul(single_transfer(pf[i]))
-    return acc
 
 
 def lo_defect(seqs: OrthoSequences, j: int, lam) -> float:

@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadIndex, OutOfRange, TruncationTooShallow
 from .gjmatrix import GJMatrix
 from .pfraction import PFraction
@@ -215,7 +217,7 @@ def formal_resolvent_column(gj: GJMatrix, lam, m_value, j, k,
         )
     lam = complex(lam)
     m = complex(m_value)
-    offs, dim = gj.block_offsets()
+    offs, _ = gj.block_offsets()
     dim = gj.dim(trunc)
 
     P, Q = normalized_values(gj.source, lam, trunc - 1)
@@ -250,7 +252,6 @@ def formal_resolvent_column(gj: GJMatrix, lam, m_value, j, k,
         core = -Pj * xi_j[i] + Qj * pi_j[i] + Pj * tail[i]
         x[i] += lk * core
 
-    import numpy as np
     H = gj.dense_float(trunc).astype(complex)
     xv = np.asarray(x)
     r = (H - lam * np.eye(dim)) @ xv

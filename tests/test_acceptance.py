@@ -181,12 +181,12 @@ def test_criterion_8_structural_identities():
         C = np.array(blk.C, dtype=object)
         E = np.array(blk.E, dtype=object)
         ok = ok and (C @ E == E @ C.T).all()
-    # unimodular transfer products and pairwise coprimality
+    # unimodular monodromy and pairwise coprimality
     for _ in range(10):
         pf = random_pfraction(rng, 6)
-        T = polyrec.transfer_product(pf, 5)
-        defect = max((abs(complex(c))
-                      for c in (T.det() - Polynomial.one()).coeffs), default=0.0)
+        (a, b), (c, d) = periodic.monodromy(periodic.PeriodicGJM(pf.terms)).T
+        defect = max((abs(complex(v))
+                      for v in (a * d - b * c - Polynomial.one()).coeffs), default=0.0)
         ok = ok and defect <= 1e-8
         seqs = polyrec.generate(pf, 6)
         ok = ok and all(polyrec.coprimality_check(seqs, j).all_coprime

@@ -143,10 +143,17 @@ def test_spectrum_bad_grid_is_a_parse_error(pfraction_file, grid):
                  "--grid", grid]) == 2
 
 
-def test_spectrum_refuses_empty_fraction(tmp_path):
+@pytest.mark.parametrize("terms, argv", [
+    ([], ["spectrum", "--period", "1"]),
+    # certify has no coupled term to repeat up to its surrogate depth
+    ([], ["certify", "--lambda", "3,0", "--depth", "5"]),
+    ([{"epsilon": 1, "b_squared": None, "p": ["0", "1"]}],
+     ["certify", "--lambda", "3,0", "--depth", "5"]),
+], ids=["spectrum", "certify", "certify-open"])
+def test_spectrum_refuses_empty_fraction(tmp_path, terms, argv):
     path = tmp_path / "empty.json"
-    path.write_text(json.dumps({"terms": []}))
-    assert main(["spectrum", str(path), "--period", "1"]) == 3
+    path.write_text(json.dumps({"terms": terms}))
+    assert main([argv[0], str(path), *argv[1:]]) == 3
 
 
 def test_certify_resolvent_and_spectrum_points(catalan_file, tmp_path):

@@ -7,8 +7,9 @@ import pytest
 from conftest import catalan_pfraction, example64_pfraction, random_pfraction
 from gjacobi import gjmatrix as gm
 from gjacobi import polyrec
-from gjacobi.errors import (BadRange, NotMonic, OutOfRange, PoleAtLambda,
-                            SupportTooWide, TruncationTooShallow)
+from gjacobi.errors import (BadRange, EmptyPFraction, NotMonic, OutOfRange,
+                            PoleAtLambda, SupportTooWide, TruncationTooShallow)
+from gjacobi.pfraction import PFraction
 from gjacobi.poly import Polynomial
 
 F = Fraction
@@ -74,6 +75,8 @@ def test_dense_float_is_upper_hessenberg():
         for j in range(n):
             if i > j + 1:
                 assert A[i][j] == 0.0
+    with pytest.raises(EmptyPFraction):
+        gm.assemble(PFraction(()))
 
 
 def test_exact_scaled_shares_charpoly_with_float():

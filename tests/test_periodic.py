@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_pfraction
+from conftest import catalan_pfraction, random_pfraction
 from gjacobi import periodic, polyrec
 from gjacobi.errors import BadRange, EmptyPFraction, OpenCoupling
 from gjacobi.pfraction import PFractionTerm
@@ -48,11 +48,10 @@ def test_periodic_validation():
 
 def test_monodromy_catalan():
     mono = periodic.monodromy(_catalan_period())
-    (a, b), (c, d) = mono.T.entries
+    (a, b), (c, d) = mono.T
     assert a == Polynomial.zero() and b == Polynomial((-1,))
     assert c == Polynomial.one() and d == x
     assert mono.trace == x
-    assert mono.det_defect <= 1e-12
     assert mono.period == 1
 
 
@@ -83,14 +82,44 @@ def test_monodromy_trace_identity(rng):
         assert complex(mono.trace(lam)) == pytest.approx(want, rel=1e-10)
 
 
-def test_monodromy_defect_bound_scales_with_entries():
-    # period 8: det T - 1 has a coefficient of 3e-8 from rounding alone, while
-    # T's entry coefficients reach 4e4; an absolute 1e-10 bound refused it
+def test_transfer_matrix_entries_match_polynomials():
+    pf = catalan_pfraction(5)
+    for j in range(3):
+        mono = periodic.monodromy(periodic.PeriodicGJM(pf.terms[:j + 1]))
+        (w11, w12), (w21, w22) = mono.T
+        b = math.sqrt(float(pf[j].b_squared))
+        lam = 1.7
+        P, Q = polyrec.normalized_values(pf, lam, j + 1)
+        pj, qj, pj1, qj1 = P[j], Q[j], P[j + 1], Q[j + 1]
+        assert w11(lam) == pytest.approx(-pf[j].epsilon * b * qj.real)
+        assert w12(lam) == pytest.approx(-qj1.real)
+        assert w21(lam) == pytest.approx(pf[j].epsilon * b * pj.real)
+        assert w22(lam) == pytest.approx(pj1.real)
+
+
+def test_monodromy_is_the_normalized_pair_with_unit_determinant():
+    # Random(9) draws a period of 8 terms whose entries have coefficients
+    # up to 4e4, so rounding shows most there
     rng = random.Random(9)
-    pf = random_pfraction(rng, rng.randint(1, 8), 3)
-    mono = periodic.monodromy(periodic.PeriodicGJM(pf.terms))
-    assert mono.period == 8
-    assert mono.det_defect > 1e-10
+    pfs = [random_pfraction(rng, rng.randint(1, 8), 3)]
+    rng = random.Random(10)
+    pfs += [random_pfraction(rng, rng.randint(1, 8), 3) for _ in range(30)]
+    assert len(pfs[0]) == 8
+    for pf in pfs:
+        s = len(pf)
+        mono = periodic.monodromy(periodic.PeriodicGJM(pf.terms))
+        eps = pf[s - 1].epsilon
+        b = math.sqrt(float(pf[s - 1].b_squared))
+        for _ in range(3):
+            lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            P, Q = polyrec.normalized_values(pf, lam, s)
+            v11, v12, v21, v22 = mono.entry_values(lam)
+            assert v11 == pytest.approx(-eps * b * Q[s - 1], rel=1e-10)
+            assert v12 == pytest.approx(-Q[s], rel=1e-10)
+            assert v21 == pytest.approx(eps * b * P[s - 1], rel=1e-10)
+            assert v22 == pytest.approx(P[s], rel=1e-10)
+            size = max(1.0, abs(v11), abs(v12), abs(v21), abs(v22))
+            assert abs(v11 * v22 - v12 * v21 - 1.0) <= 1e-12 * size ** 2
 
 
 def test_multipliers_product_and_sum(rng):
@@ -104,6 +133,17 @@ def test_multipliers_product_and_sum(rng):
         assert abs(w1) >= abs(w2) - 1e-12
 
 
+def test_multipliers_match_scan_moduli():
+    pg = _eigenvalue_period()
+    mono = periodic.monodromy(pg)
+    sc = periodic.scan(mono, pg, (-3, 3, -3, 3), 7, 7, 1e-3)
+    for r in range(7):
+        for c in range(7):
+            w1, w2 = periodic.multipliers(mono, sc.points[r, c])
+            assert abs(w1) == pytest.approx(sc.w1_abs[r, c], rel=1e-12)
+            assert abs(w2) == pytest.approx(sc.w2_abs[r, c], rel=1e-12)
+
+
 def test_classify_examples():
     pg = _chebyshev_squared_period()
     mono = periodic.monodromy(pg)
@@ -112,6 +152,10 @@ def test_classify_examples():
     assert periodic.classify(mono, pg, 0.5j, 1e-6) == "E"
     assert periodic.classify(mono, pg, 1 + 1j, 1e-6) == "resolvent"
     assert periodic.classify(mono, pg, 1.5, 1e-6) == "resolvent"
+    # off the axis the trace 2 lambda^2 has imaginary part 2 Im(lambda): E
+    # only while that stays within tol
+    assert periodic.classify(mono, pg, 0.5 + 1e-7j, 1e-6) == "E"
+    assert periodic.classify(mono, pg, 0.5 + 1e-5j, 1e-6) == "resolvent"
     cat = _catalan_period()
     mcat = periodic.monodromy(cat)
     assert periodic.classify(mcat, cat, 1.0, 1e-6) == "E"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import catalan_pfraction, example64_pfraction, random_pfraction
-from gjacobi import polyrec
+from gjacobi import periodic, polyrec
 from gjacobi.errors import NotEnoughTerms, OutOfRange
 from gjacobi.pfraction import PFraction
 from gjacobi.poly import Polynomial
@@ -72,27 +72,12 @@ def test_lo_defect_float_fallback_on_decimal_data(rng):
                 assert polyrec.lo_defect(seqs, j, lam) <= 1e-10 * max(1.0, size)
 
 
-def test_transfer_matrix_entries_match_polynomials():
-    pf = catalan_pfraction(5)
-    for j in range(3):
-        W = polyrec.transfer_product(pf, j)
-        (w11, w12), (w21, w22) = W.entries
-        b = math.sqrt(float(pf[j].b_squared))
-        lam = 1.7
-        P, Q = polyrec.normalized_values(pf, lam, j + 1)
-        pj, qj, pj1, qj1 = P[j], Q[j], P[j + 1], Q[j + 1]
-        assert w11(lam) == pytest.approx(-pf[j].epsilon * b * qj.real)
-        assert w12(lam) == pytest.approx(-qj1.real)
-        assert w21(lam) == pytest.approx(pf[j].epsilon * b * pj.real)
-        assert w22(lam) == pytest.approx(pj1.real)
-
-
 def test_transfer_product_determinant_is_one(rng):
     for _ in range(5):
         pf = random_pfraction(rng, 5)
-        det = polyrec.transfer_product(pf, 4).det()
-        diff = det - Polynomial.one()
-        assert all(abs(c) <= 1e-8 for c in diff.coeffs)
+        (a, b), (c, d) = periodic.monodromy(periodic.PeriodicGJM(pf.terms)).T
+        diff = a * d - b * c - Polynomial.one()
+        assert all(abs(v) <= 1e-8 for v in diff.coeffs)
 
 
 def test_coprimality(rng):
@@ -110,8 +95,6 @@ def test_range_errors():
         polyrec.normalized_values(pf, 1.0, 4)
     with pytest.raises(NotEnoughTerms):
         polyrec.generate(pf, 5)
-    with pytest.raises(NotEnoughTerms):
-        polyrec.transfer_product(pf, 3)
 
 
 def test_open_final_term_blocks_normalization():
