@@ -1,9 +1,11 @@
 """Command-line pipeline: moments -> P-fraction -> matrix -> Pade/spectral/
 periodic outputs.
 
+certify reads the 4*depth+1 terms of H_[0,4*depth] and invents none.
+
 Exit codes: 0 success, 1 internal error (a bug), 2 input parse failure,
 3 any other library error (insufficient, degenerate or out-of-range data),
-4 pole at lambda, 5 period does not divide the term count.
+4 pole at lambda, 5 the terms do not repeat with the period.
 """
 
 from __future__ import annotations
@@ -107,18 +109,6 @@ def _as_pfraction(obj, max_terms, degree_cap):
     return obj if isinstance(obj, PFraction) else expand(obj, max_terms, degree_cap)
 
 
-def _extend_cyclic(pf, n_terms):
-    """Repeat the coefficient pattern so certify can reach its surrogate depth."""
-    if len(pf) >= n_terms:
-        return pf
-    if pf.status == "terminated":
-        raise CliError(EXIT_DATA,
-                       "cannot extend a terminated fraction to the requested depth")
-    # only the last term may be open: its coupling is unknown, not absent
-    pattern = tuple(t for t in pf.terms if t.b_squared is not None)
-    return periodic.PeriodicGJM(pattern).unroll(n_terms)
-
-
 def _write(args, text):
     if args.out:
         with open(args.out, "w") as fh:
@@ -184,7 +174,14 @@ def cmd_spectrum(args):
     if s < 1 or len(obj) % s != 0:
         raise CliError(EXIT_PERIOD,
                        f"period {s} does not divide term count {len(obj)}")
-    pg = periodic.PeriodicGJM(obj.terms[:s])
+    pattern = obj.terms[:s]
+    for j, t in enumerate(obj.terms[s:], s):
+        ref = pattern[j % s]  # only the last term may be open
+        if ((t.epsilon, t.p) != (ref.epsilon, ref.p)
+                or t.b_squared not in (None, ref.b_squared)):
+            raise CliError(EXIT_PERIOD,
+                           f"term {j} differs from term {j % s}: not {s}-periodic")
+    pg = periodic.PeriodicGJM(pattern)
     mono = periodic.monodromy(pg)
     region = _parse_region(args.region)
     nx, ny = _parse_grid(args.grid)
@@ -202,9 +199,11 @@ def cmd_certify(args):
     obj = _load_input(args.input, args.exact)
     lam = _parse_complex(args.lam)
     J = args.depth
-    pf = _as_pfraction(obj, J + 1, args.degree_cap)
-    deep = 4 * J  # deep-truncation surrogate for the operator m-function
-    pf = _extend_cyclic(pf, deep + 2)
+    deep = 4 * J  # the m-value is that of the truncation H_[0,4J]
+    pf = _as_pfraction(obj, deep + 1, args.degree_cap)
+    if len(pf) < deep + 1:
+        raise CliError(EXIT_DATA, f"certify --depth {J} needs {deep + 1} terms, "
+                                  f"the input gives {len(pf)}")
     m_value = gjmatrix.m_truncation(pf, deep, lam)
     cert = spectral.resolvent_certificate(pf, lam, m_value, J)
     _write(args, cert.to_json())
@@ -250,11 +249,8 @@ def cmd_selftest(args):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="gjacobi", description=__doc__)
-    ring = p.add_mutually_exclusive_group()
-    ring.add_argument("--exact", dest="exact", action="store_true", default=True,
-                      help="parse scalars as exact rationals (default)")
-    ring.add_argument("--float", dest="exact", action="store_false",
-                      help="parse scalars as floats")
+    p.add_argument("--float", dest="exact", action="store_false",
+                   help="parse decimal scalars as floats (default: exact rationals)")
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     sub = p.add_subparsers(dest="command", required=True)

@@ -85,7 +85,9 @@ def normalized_values(pf: PFraction, lam, J: int):
 
 
 def lo_defect(seqs: OrthoSequences, j: int, lam) -> float:
-    """|eps_j b_j (Q_{j+1} P_j - Q_j P_{j+1}) - 1| at lam (float)."""
+    """|eps_j b_j (Q_{j+1} P_j - Q_j P_{j+1}) - 1| at lam (float), exact on exact
+    data; on float data relative to max(1, b_j |Q_{j+1} P_j|, b_j |Q_j P_{j+1}|),
+    since the rounding of those cancelling products sets the absolute value."""
     seqs.check_range(j + 1)
     term = seqs.source[j]
     if term.b_squared is None:
@@ -106,7 +108,8 @@ def lo_defect(seqs: OrthoSequences, j: int, lam) -> float:
             return abs(complex(float(dr), float(di)))
     P, Q = normalized_values(seqs.source, lam, j + 1)
     b = math.sqrt(float(term.b_squared))
-    return abs(term.epsilon * b * (Q[j + 1] * P[j] - Q[j] * P[j + 1]) - 1.0)
+    left, right = b * Q[j + 1] * P[j], b * Q[j] * P[j + 1]
+    return abs(term.epsilon * (left - right) - 1.0) / max(1.0, abs(left), abs(right))
 
 
 def lo_polynomial_residual(seqs: OrthoSequences, j: int) -> Polynomial:

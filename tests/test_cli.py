@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pfraction
+from conftest import catalan_pfraction, random_pfraction
 from gjacobi.cli import main
 from gjacobi.moments import MomentSequence
 from gjacobi.pfraction import PFraction, to_moments
@@ -18,6 +18,13 @@ CATALAN = [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132, 0]
 def catalan_file(tmp_path):
     path = tmp_path / "catalan.json"
     path.write_text(json.dumps({"moments": [str(v) for v in CATALAN]}))
+    return str(path)
+
+
+@pytest.fixture
+def float_catalan_file(tmp_path):
+    path = tmp_path / "catalan_float.json"
+    path.write_text(json.dumps({"moments": [f"{v}.0" for v in CATALAN]}))
     return str(path)
 
 
@@ -137,6 +144,15 @@ def test_spectrum_bad_period(pfraction_file):
     assert main(["spectrum", pfraction_file, "--period", "4"]) == 5
 
 
+def test_spectrum_refuses_terms_that_do_not_repeat(tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"terms": [
+        {"epsilon": 1, "b_squared": "1/4", "p": ["0", "0", "1"]},
+        {"epsilon": -1, "b_squared": "3", "p": ["5", "1"]}]}))
+    assert main(["spectrum", str(path), "--period", "1", "--grid", "3"]) == 5
+    assert main(["spectrum", str(path), "--period", "2", "--grid", "3"]) == 0
+
+
 @pytest.mark.parametrize("grid", ["abc", "3,x", "3,4,5"])
 def test_spectrum_bad_grid_is_a_parse_error(pfraction_file, grid):
     assert main(["spectrum", pfraction_file, "--period", "1",
@@ -145,7 +161,7 @@ def test_spectrum_bad_grid_is_a_parse_error(pfraction_file, grid):
 
 @pytest.mark.parametrize("terms, argv", [
     ([], ["spectrum", "--period", "1"]),
-    # certify has no coupled term to repeat up to its surrogate depth
+    # certify needs 4*depth+1 terms and is given none, or one open term
     ([], ["certify", "--lambda", "3,0", "--depth", "5"]),
     ([{"epsilon": 1, "b_squared": None, "p": ["0", "1"]}],
      ["certify", "--lambda", "3,0", "--depth", "5"]),
@@ -156,19 +172,45 @@ def test_spectrum_refuses_empty_fraction(tmp_path, terms, argv):
     assert main([argv[0], str(path), *argv[1:]]) == 3
 
 
-def test_certify_resolvent_and_spectrum_points(catalan_file, tmp_path):
+def test_certify_resolvent_and_spectrum_points(tmp_path):
+    pf_file = tmp_path / "catalan161.json"
+    pf_file.write_text(catalan_pfraction(161).to_json())   # 4*40+1 terms
     out = tmp_path / "cert.json"
-    code = main(["--out", str(out), "certify", catalan_file,
+    code = main(["--out", str(out), "certify", str(pf_file),
                  "--lambda", "3,0", "--depth", "40"])
     assert code == 0
     cert = json.loads(out.read_text())
     assert cert["verdict"] == "certified_decay"
     assert 0.3 <= cert["q"] <= 0.45
-    code = main(["--out", str(out), "certify", catalan_file,
+    code = main(["--out", str(out), "certify", str(pf_file),
                  "--lambda", "0.5,0", "--depth", "40"])
     assert code == 0
     cert = json.loads(out.read_text())
     assert cert["verdict"] in ("inconclusive", "violated")
+
+
+def test_certify_refuses_too_few_terms(catalan_file, tmp_path, capsys):
+    # no term is invented: 14 moments give 7 terms, a periodic-looking
+    # input is not repeated, and neither is a random non-periodic one
+    assert main(["certify", catalan_file, "--lambda", "3,0", "--depth", "40"]) == 3
+    assert "needs 161 terms, the input gives 7" in capsys.readouterr().err
+    path = tmp_path / "random7.json"
+    path.write_text(random_pfraction(random.Random(3), 7).to_json())
+    assert main(["certify", str(path), "--lambda", "3,0", "--depth", "10"]) == 3
+
+
+def test_certify_expands_moments_to_the_terms_it_reads(tmp_path, capsys):
+    # depth 4 reads 17 terms; 2*n_18 + 2 moments determine all of them
+    pf = random_pfraction(random.Random(11), 19)
+    moments = tmp_path / "m.json"
+    moments.write_text(to_moments(pf, 2 * pf.normal_index(18) + 2).to_json())
+    prefix = tmp_path / "pf17.json"
+    prefix.write_text(PFraction(pf.terms[:17], degree_cap=pf.degree_cap).to_json())
+    outputs = []
+    for path in (moments, prefix):
+        assert main(["certify", str(path), "--lambda=1.5,1", "--depth", "4"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_moments_round_trip(pfraction_file, tmp_path, capsys):
@@ -183,9 +225,10 @@ def test_moments_round_trip(pfraction_file, tmp_path, capsys):
 @pytest.mark.parametrize("n_terms, open_at, argv", [
     (3, 1, ["moments", "--count", "6"]),
     (3, 1, ["pade", "--lambda", "3,0", "--orders", "1..3"]),
-    # 20 >= 4*depth+2 terms: certify uses them as given, without repeating
+    # 20 >= 4*depth+1 terms: certify reads them as given
     (20, 1, ["certify", "--lambda", "3,0", "--depth", "4"]),
-    (7, None, ["certify", "--lambda", "3,0", "--depth", "2"]),
+    # 9 = 4*depth+1 terms, so certify reaches its own depth check
+    (9, None, ["certify", "--lambda", "3,0", "--depth", "2"]),
     (7, None, ["spectrum", "--period", "1", "--grid", "1"]),
 ], ids=["moments", "pade", "certify", "certify-depth", "spectrum-grid"])
 def test_moments_refuses_interior_term_without_coupling(tmp_path, n_terms,
@@ -242,6 +285,22 @@ def test_seed_flag_is_gone(pfraction_file):
     with pytest.raises(SystemExit) as exc:
         main(["--seed", "1", "spectrum", pfraction_file, "--period", "1"])
     assert exc.value.code == 2
+
+
+def test_exact_flag_is_gone(catalan_file):
+    # exact parsing is the default; only --float changes it
+    with pytest.raises(SystemExit) as exc:
+        main(["--exact", "expand", catalan_file])
+    assert exc.value.code == 2
+
+
+def test_float_flag(float_catalan_file, tmp_path, capsys):
+    assert main(["--float", "expand", float_catalan_file]) == 0
+    assert '"b_squared": "1.0"' in capsys.readouterr().out
+    out = tmp_path / "table.csv"
+    assert main(["--float", "--out", str(out), "pade", float_catalan_file,
+                 "--lambda=3,0", "--orders", "1..6"]) == 0
+    assert len(out.read_text().strip().split("\n")) == 7
 
 
 def test_tol_validation(catalan_file):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from itertools import accumulate
 from fractions import Fraction
 
@@ -64,21 +65,29 @@ def test_normal_indices_catalan_and_degenerate():
     assert ni.block_degrees()[0] == 2
 
 
-def test_normal_indices_float_moments_match_exact(rng):
-    # the float branch tests the Hankel determinant of the unit-max-norm
-    # window against FLOAT_ZERO_TOL.  That absolute bound is only sound for
-    # small windows: from n = 4 on, random data have true determinants of
-    # 1e-14 at that scale, so the comparison stops at n = 3.
+def test_normal_indices_float_moments_match_exact():
+    # the float branch is a scale-free numerical-rank test, so it holds for
+    # every window size n_J the data reach (up to 12 here), not only n <= 3
     cat = [1, 0, 1, 0, 2, 0, 5]
     assert normal_indices(MomentSequence(tuple(map(float, cat))), 4).indices \
         == normal_indices(MomentSequence(tuple(map(F, cat))), 4).indices
-    for _ in range(40):
+    rng = random.Random(0)
+    for i in range(1000):
         pf = random_pfraction(rng, rng.randint(1, 4), 3)
-        exact = to_moments(pf, 5)
+        n_J = pf.normal_index(len(pf))
+        exact = to_moments(pf, 2 * n_J - 1)
         floats = MomentSequence(tuple(float(v) for v in exact.coeffs))
-        want = normal_indices(exact, 3).indices
-        assert want == tuple(n for n in accumulate(pf.block_degrees()) if n <= 3)
-        assert normal_indices(floats, 3).indices == want
+        want = tuple(accumulate(pf.block_degrees()))
+        if i < 100:
+            assert normal_indices(exact, n_J).indices == want
+        assert normal_indices(floats, n_J).indices == want
+
+
+def test_normal_indices_float_keeps_a_small_determinant():
+    # [(-1, 1/4, x+3), (1, 1/4, x^3+x^2/2-3)]: the 4x4 window scaled to unit
+    # max-norm has determinant 5.7e-14, yet 4 is a normal index
+    s = MomentSequence((-1.0, 3.0, -9.0, 27.0, -323 / 4, 483 / 2, -5779 / 8))
+    assert normal_indices(s, 4).indices == (1, 4)
 
 
 def test_normalize_scales_first_nonzero_to_unit():

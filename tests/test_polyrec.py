@@ -1,5 +1,4 @@
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -54,7 +53,7 @@ def test_lo_defect_small_at_random_points(rng):
 def test_lo_defect_float_fallback_on_decimal_data(rng):
     # decimal-parsed couplings make b2_products floats, so lo_defect takes
     # its float route through normalized_values.  That route subtracts two
-    # products of growing values, so its floor is rounding relative to them.
+    # products of growing values and reports the defect relative to them.
     for _ in range(4):
         data = json.loads(random_pfraction(rng, 6).to_json())
         for t in data["terms"]:
@@ -65,11 +64,23 @@ def test_lo_defect_float_fallback_on_decimal_data(rng):
         assert isinstance(seqs.b2_products[1], float)
         for _ in range(4):
             lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            P, Q = polyrec.normalized_values(pf, lam, 5)
             for j in range(5):
-                b = math.sqrt(pf[j].b_squared)
-                size = b * max(abs(Q[j + 1] * P[j]), abs(Q[j] * P[j + 1]))
-                assert polyrec.lo_defect(seqs, j, lam) <= 1e-10 * max(1.0, size)
+                assert polyrec.lo_defect(seqs, j, lam) <= 1e-10
+
+
+def test_lo_defect_float_route_is_relative():
+    # decimal example 6.4: the cancelling products reach 5e21 on [-4, 4]^2,
+    # where the absolute difference read up to 3e4
+    data = json.loads(example64_pfraction(8).to_json())
+    for t in data["terms"]:
+        t["b_squared"] = "0.25"
+        t["p"] = ["0.0", "0.0", "1.0"]
+    seqs = polyrec.generate(PFraction.from_json(json.dumps(data)), 7)
+    assert isinstance(seqs.b2_products[1], float)
+    grid = [-4 + k / 2 for k in range(17)]
+    worst = max(polyrec.lo_defect(seqs, j, complex(x, y))
+                for x in grid for y in grid for j in range(7))
+    assert worst <= 1e-10
 
 
 def test_transfer_product_determinant_is_one(rng):
