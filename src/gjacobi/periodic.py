@@ -145,14 +145,17 @@ class SpectrumScan:
     ep_points: tuple     # roots of P_{s-1} in the region that pass the modulus test
 
     def to_csv(self):
-        """One line per cell, row-major; built a grid row at a time to bound memory."""
-        z, t = self.points, self.trace_values
-        cols = (z.real, z.imag, self.labels, t.real, t.imag, self.w1_abs, self.w2_abs)
-        chunks = ["re,im,label,trace_re,trace_im,w1_abs,w2_abs\n"]
+        lines = ["re,im,label,trace_re,trace_im,w1_abs,w2_abs"]
         for r in range(self.ny):
-            cells = zip(*(a[r].tolist() for a in cols))
-            chunks.append("".join("%r,%r,%s,%r,%r,%r,%r\n" % cell for cell in cells))
-        return "".join(chunks)
+            for c in range(self.nx):
+                z = self.points[r, c]
+                t = self.trace_values[r, c]
+                lines.append(
+                    f"{float(z.real)!r},{float(z.imag)!r},{self.labels[r, c]},"
+                    f"{float(t.real)!r},{float(t.imag)!r},"
+                    f"{float(self.w1_abs[r, c])!r},{float(self.w2_abs[r, c])!r}"
+                )
+        return "\n".join(lines) + "\n"
 
     def summary_json(self):
         unique, counts = np.unique(self.labels, return_counts=True)
