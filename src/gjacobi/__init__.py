@@ -8,14 +8,13 @@ the monodromy matrix.
 """
 
 from .errors import GJacobiError
-from .moments import MomentSequence, NormalIndexList, hankel_det, normal_indices, normalize
+from .moments import MomentSequence, hankel_det, normal_indices, normalize
 from .pfraction import PFraction, PFractionTerm, expand, expand_step, to_moments
 from .poly import Polynomial
 
 __all__ = [
     "GJacobiError",
     "MomentSequence",
-    "NormalIndexList",
     "hankel_det",
     "normal_indices",
     "normalize",

@@ -3,8 +3,8 @@ periodic outputs.
 
 certify reads the 4*depth+1 terms of H_[0,4*depth] and invents none.
 
-Exit codes: 0 success, 1 internal error (a bug), 2 input parse failure,
-3 any other library error (insufficient, degenerate or out-of-range data),
+Exit codes: 0 success, 1 internal error (a bug), 2 input parse failure or
+an unwritable --out, 3 any other library error (insufficient, degenerate or out-of-range data),
 4 pole at lambda, 5 the terms do not repeat with the period.
 """
 
@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from . import gjmatrix, pade, periodic, polyrec, spectral
 from .errors import GJacobiError, InsufficientMoments, PoleAtLambda
@@ -109,12 +110,15 @@ def _as_pfraction(obj, max_terms, degree_cap):
     return obj if isinstance(obj, PFraction) else expand(obj, max_terms, degree_cap)
 
 
-def _write(args, text):
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+def _write(path, text):
+    if not path:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"cannot write {path}: {exc}")
 
 
 REFERENCES = {
@@ -132,10 +136,10 @@ def cmd_expand(args):
         raise CliError(EXIT_PARSE, "expand needs a moments input")
     pf = _as_pfraction(obj, args.max_terms, args.degree_cap)
     degrees = pf.block_degrees()
-    indices = [pf.normal_index(j + 1) for j in range(len(pf))]
+    indices = list(accumulate(degrees))
     print(f"normal indices n_j: {indices}", file=sys.stderr)
     print(f"block degrees k_j: {list(degrees)}", file=sys.stderr)
-    _write(args, pf.to_json())
+    _write(args.out, pf.to_json())
     return EXIT_OK
 
 
@@ -162,7 +166,7 @@ def cmd_pade(args):
             print(f"j={j} n_j={appr.order} match_order={mo}", file=sys.stderr)
     if table.ratio is not None:
         print(f"fitted error ratio: {table.ratio}", file=sys.stderr)
-    _write(args, table.to_csv())
+    _write(args.out, table.to_csv())
     return EXIT_OK
 
 
@@ -187,10 +191,8 @@ def cmd_spectrum(args):
     nx, ny = _parse_grid(args.grid)
     sc = periodic.scan(mono, pg, region, nx, ny, args.tol)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(sc.to_csv())
-        with open(args.out + ".summary.json", "w") as fh:
-            fh.write(sc.summary_json())
+        _write(args.out, sc.to_csv())
+        _write(args.out + ".summary.json", sc.summary_json())
     print(sc.summary_json())
     return EXIT_OK
 
@@ -206,7 +208,7 @@ def cmd_certify(args):
                                   f"the input gives {len(pf)}")
     m_value = gjmatrix.m_truncation(pf, deep, lam)
     cert = spectral.resolvent_certificate(pf, lam, m_value, J)
-    _write(args, cert.to_json())
+    _write(args.out, cert.to_json())
     return EXIT_OK
 
 
@@ -217,7 +219,7 @@ def cmd_moments(args):
     s = to_moments(obj, args.count)
     if s.certified_up_to is not None:
         print(f"certified through index {s.certified_up_to}", file=sys.stderr)
-    _write(args, s.to_json())
+    _write(args.out, s.to_json())
     return EXIT_OK
 
 
@@ -226,8 +228,7 @@ def cmd_selftest(args):
     x = Polynomial.x()
     from .pfraction import PFractionTerm
 
-    cat = PFraction(tuple(PFractionTerm(1, Fraction(1), x) for _ in range(12)),
-                    degree_cap=1)
+    cat = PFraction(tuple(PFractionTerm(1, Fraction(1), x) for _ in range(12)))
     seqs = polyrec.generate(cat, 10)
     checks.append(("liouville-ostrogradsky",
                    all(polyrec.lo_polynomial_residual(seqs, j).is_zero
@@ -236,7 +237,7 @@ def cmd_selftest(args):
     pf2 = expand(s, 12, 3)
     checks.append(("round-trip", pf2.terms[:5] == cat.terms[:5]))
     ni = normal_indices(s, 6)
-    checks.append(("normal-indices", ni.indices == (1, 2, 3, 4, 5, 6)))
+    checks.append(("normal-indices", ni == (1, 2, 3, 4, 5, 6)))
     per = periodic.PeriodicGJM((PFractionTerm(1, Fraction(1, 4), x * x),))
     mono = periodic.monodromy(per)
     checks.append(("monodromy-trace", mono.trace.coeffs == (0.0, 0.0, 2.0)))

@@ -9,7 +9,7 @@ test (see FLOAT_ZERO_TOL).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -45,15 +45,10 @@ class MomentSequence:
     def is_exact(self):
         return all(isinstance(c, Fraction) for c in self.coeffs)
 
-    def is_zero_entry(self, i):
-        return _is_zero(self.coeffs[i], self.coeffs)
-
     def first_nonzero(self):
         """Index of the first nonzero entry, or None if all vanish."""
-        for i in range(len(self.coeffs)):
-            if not self.is_zero_entry(i):
-                return i
-        return None
+        return next((i for i, c in enumerate(self.coeffs)
+                     if not _is_zero(c, self.coeffs)), None)
 
     # -- serialization -------------------------------------------------
     def to_json(self):
@@ -63,29 +58,6 @@ class MomentSequence:
     def from_json(cls, text, exact_parse=False):
         data = json.loads(text)
         return cls(tuple(parse_scalar(v, exact_parse) for v in data["moments"]))
-
-
-@dataclass(frozen=True)
-class NormalIndexList:
-    """Strictly increasing indices with nonzero Hankel determinant."""
-
-    indices: tuple
-    certified_up_to: int
-
-    def __post_init__(self):
-        idx = tuple(self.indices)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("normal indices must be strictly increasing")
-        object.__setattr__(self, "indices", idx)
-
-    def block_degrees(self):
-        """Gaps k_j between consecutive normal indices (n_0 = 0)."""
-        prev = 0
-        out = []
-        for n in self.indices:
-            out.append(n - prev)
-            prev = n
-        return tuple(out)
 
 
 def _is_zero(value, context):
@@ -152,8 +124,8 @@ def _bareiss_det(m):
     return sign * m[n - 1][n - 1]
 
 
-def normal_indices(s: MomentSequence, n_max: int) -> NormalIndexList:
-    """All n <= n_max whose Hankel determinant is nonzero.
+def normal_indices(s: MomentSequence, n_max: int) -> tuple:
+    """The increasing n <= n_max whose Hankel determinant is nonzero.
 
     A float window counts when sigma_min/sigma_max > 1e-14: that numerical
     rank is scale-free, so one bound serves every n."""
@@ -172,7 +144,7 @@ def normal_indices(s: MomentSequence, n_max: int) -> NormalIndexList:
             nonzero = sv[0] > 0 and sv[-1] / sv[0] > 1e-14
         if nonzero:
             found.append(n)
-    return NormalIndexList(tuple(found), certified_up_to=n_max)
+    return tuple(found)
 
 
 def normalize(s: MomentSequence) -> MomentSequence:

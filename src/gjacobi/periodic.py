@@ -45,7 +45,7 @@ class PeriodicGJM:
         """PFraction of n_terms cyclic repetitions of the period."""
         s = self.period
         terms = tuple(self.terms[i % s] for i in range(n_terms))
-        return PFraction(terms, degree_cap=max(t.degree for t in self.terms))
+        return PFraction(terms)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ class PFractionTerm:
 
 @dataclass(frozen=True)
 class PFraction:
-    """Ordered P-fraction terms with a termination status and degree cap.
+    """Ordered P-fraction terms with a termination status.
 
     Every block is coupled to the next one, so only the last term may leave
     its coupling b^2 unknown (None).
@@ -54,7 +54,6 @@ class PFraction:
 
     terms: tuple
     status: str = STATUS_OPEN
-    degree_cap: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -64,9 +63,6 @@ class PFraction:
         if open_at:
             raise OpenCoupling(f"term {open_at[0]} lacks b_squared; only the "
                                "last term may")
-        cap = self.degree_cap
-        if cap is not None and any(t.degree > cap for t in self.terms):
-            raise ValueError("term degree exceeds degree_cap")
 
     def __len__(self):
         return len(self.terms)
@@ -80,11 +76,6 @@ class PFraction:
     def normal_index(self, j):
         """n_j = k_0 + ... + k_{j-1}."""
         return sum(t.degree for t in self.terms[:j])
-
-    def shifted(self, start):
-        """P-fraction of the tail terms[start:] (same status)."""
-        return PFraction(self.terms[start:], status=self.status,
-                         degree_cap=self.degree_cap)
 
     # -- serialization -------------------------------------------------
     def to_json(self):
@@ -104,16 +95,19 @@ class PFraction:
         terms = []
         for t in data["terms"]:
             b2 = t.get("b_squared")
+            eps = t["epsilon"]  # int() alone reads 1.5 and true as 1
+            if isinstance(eps, bool) or isinstance(eps, float) and not eps.is_integer():
+                raise ValueError(f"epsilon must be an integer, got {eps!r}")
             terms.append(PFractionTerm(
-                epsilon=int(t["epsilon"]),
+                epsilon=int(eps),
                 b_squared=None if b2 is None else parse_scalar(b2, exact_parse),
                 p=Polynomial([parse_scalar(c, exact_parse) for c in t["p"]]),
             ))
-        cap = data.get("degree_cap")
-        if cap is None and terms:
-            cap = max(t.degree for t in terms)
-        return cls(tuple(terms), status=data.get("status", STATUS_OPEN),
-                   degree_cap=cap)
+        pf = cls(tuple(terms), status=data.get("status", STATUS_OPEN))
+        cap = data.get("degree_cap")  # checked, not kept
+        if cap is not None and any(t.degree > cap for t in terms):
+            raise ValueError("term degree exceeds degree_cap")
+        return pf
 
 
 def expand_step(tail: MomentSequence):
@@ -178,7 +172,7 @@ def expand(s: MomentSequence, max_terms: int, degree_cap: int) -> PFraction:
             break
     if not terms:
         raise AllZero("no expandable content in input")
-    return PFraction(tuple(terms), status=status, degree_cap=degree_cap)
+    return PFraction(tuple(terms), status=status)
 
 
 def to_moments(pf: PFraction, count: int) -> MomentSequence:

@@ -24,7 +24,7 @@ def _trim(coeffs):
 
 
 class Polynomial:
-    """Immutable dense polynomial; supports +, -, *, exact divmod and gcd."""
+    """Immutable dense polynomial; supports +, -, * and gcd."""
 
     __slots__ = ("coeffs",)
 
@@ -121,38 +121,6 @@ class Polynomial:
         if not c:
             return Polynomial.zero()
         return Polynomial(tuple(c * v for v in self.coeffs))
-
-    def shift(self, k):
-        """Multiply by x**k."""
-        if self.is_zero:
-            return self
-        return Polynomial((0,) * k + self.coeffs)
-
-    # -- division -----------------------------------------------------
-    def divmod(self, other):
-        """Quotient and remainder over the coefficient field."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        num = list(self.coeffs)
-        dc = other.coeffs
-        dd = other.degree
-        lead = dc[-1]
-        q = [0] * max(len(num) - dd, 0)
-        for i in range(len(num) - 1, dd - 1, -1):
-            c = num[i]
-            if not c:
-                continue
-            f = c / lead
-            q[i - dd] = f
-            for k, d in enumerate(dc):
-                num[i - dd + k] -= f * d
-        return Polynomial(q), Polynomial(num[:dd])
-
-    def exact_div(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("division is not exact")
-        return q
 
     # -- evaluation ---------------------------------------------------
     def __call__(self, x):

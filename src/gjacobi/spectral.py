@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -104,13 +105,14 @@ def resolvent_certificate(pf: PFraction, lam, m_value, J) -> Certificate:
     certified_decay: q < 1, the deep-third envelope holds, and
     limsup |P_j|^{1/n_j} > 1.  violated: q >= 1, or the envelope fails at
     every depth of the deep third.  Anything in between is inconclusive.
+    The fraction needs J + 9 terms (TruncationTooShallow otherwise).
     """
     if J < 4:
         raise OutOfRange("need J >= 4")
     lam = complex(lam)
     P, Q = normalized_values(pf, lam, J)
     W = _stabilized_weyl(pf, lam, complex(m_value), P, Q)
-    n = [pf.normal_index(j) for j in range(J + 1)]
+    n = list(accumulate((t.degree for t in pf.terms[:J]), initial=0))
     fit_hi = max(2, (2 * J) // 3)
     C = max(abs(P[i]) * abs(W[j])
             for j in range(fit_hi + 1) for i in range(j + 1))
@@ -155,14 +157,17 @@ def _stabilized_weyl(pf, lam, m, P, Q):
     The direct combination loses all digits once |W_j| drops below the
     rounding noise of its terms.  A backward (minimal-solution) recurrence
     from well past J avoids that; it is trusted only where it reproduces the
-    direct values on the indices the direct formula still resolves.
+    direct values on the indices the direct formula still resolves.  It
+    starts at least 8 terms past J, so the fraction needs J + 9 terms.
     """
     J = len(P) - 1
+    if len(pf) < J + 9:
+        raise TruncationTooShallow(f"Weyl values through depth {J} need "
+                                   f"{J + 9} terms, the fraction has {len(pf)}")
     W_direct = [q + m * p for p, q in zip(P, Q)]
     L = min(len(pf) - 1, J + 16)
-    if L < J + 8 or pf[L].b_squared is None:  # only the last term may be open
-        return W_direct
-    b = [math.sqrt(float(pf[j].b_squared)) for j in range(L + 1)]
+    # b_L multiplies u_{L+1} = 0 only, so an open last term L is harmless
+    b = [math.sqrt(float(pf[j].b_squared)) for j in range(L)] + [0.0]
     p = [pf[j].p.as_float() for j in range(L + 1)]
     u = [0j] * (L + 2)
     u[L + 1], u[L] = 0j, 1.0 + 0j

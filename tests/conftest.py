@@ -19,19 +19,19 @@ def random_pfraction(rng, n_terms, max_degree=3, last_open=False):
                   for _ in range(k)] + [Fraction(1)]
         b2 = None if (last_open and j == n_terms - 1) else rng.choice(B2_CHOICES)
         terms.append(PFractionTerm(rng.choice([1, -1]), b2, Polynomial(coeffs)))
-    return PFraction(tuple(terms), degree_cap=max_degree)
+    return PFraction(tuple(terms))
 
 
 def catalan_pfraction(n_terms):
     x = Polynomial.x()
     return PFraction(tuple(PFractionTerm(1, Fraction(1), x)
-                           for _ in range(n_terms)), degree_cap=1)
+                           for _ in range(n_terms)))
 
 
 def example64_pfraction(n_terms):
     x = Polynomial.x()
     return PFraction(tuple(PFractionTerm(1, Fraction(1, 4), x * x)
-                           for _ in range(n_terms)), degree_cap=2)
+                           for _ in range(n_terms)))
 
 
 @pytest.fixture

@@ -205,7 +205,7 @@ def test_certify_expands_moments_to_the_terms_it_reads(tmp_path, capsys):
     moments = tmp_path / "m.json"
     moments.write_text(to_moments(pf, 2 * pf.normal_index(18) + 2).to_json())
     prefix = tmp_path / "pf17.json"
-    prefix.write_text(PFraction(pf.terms[:17], degree_cap=pf.degree_cap).to_json())
+    prefix.write_text(PFraction(pf.terms[:17]).to_json())
     outputs = []
     for path in (moments, prefix):
         assert main(["certify", str(path), "--lambda=1.5,1", "--depth", "4"]) == 0
@@ -220,6 +220,35 @@ def test_moments_round_trip(pfraction_file, tmp_path, capsys):
     s = MomentSequence.from_json(out.read_text())
     assert [float(v) for v in s.coeffs] == [float(v) for v in CATALAN[:12]]
     assert "certified through" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--count", "6"],
+    ["spectrum", "--period", "1", "--grid", "3"],
+], ids=["moments", "spectrum"])
+def test_unwritable_out_is_a_parse_error(pfraction_file, tmp_path, capsys, argv):
+    out = str(tmp_path / "missing" / "x")
+    assert main(["--out", out, argv[0], pfraction_file, *argv[1:]]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon, code", [
+    (1.5, 2), (-1.2, 2), (True, 2), (1, 0), (-1, 0), ("1", 0), ("-1", 0),
+])
+def test_epsilon_must_be_an_integer(tmp_path, epsilon, code):
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps({"terms": [
+        {"epsilon": epsilon, "b_squared": "1", "p": ["0", "1"]}]}))
+    assert main(["moments", str(path), "--count", "2"]) == code
+
+
+@pytest.mark.parametrize("cap, code", [(1, 2), (2, 0), (None, 0)])
+def test_json_degree_cap_is_checked(tmp_path, cap, code):
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"terms": [
+        {"epsilon": 1, "b_squared": "1/4", "p": ["0", "0", "1"]}],
+        "degree_cap": cap}))
+    assert main(["moments", str(path), "--count", "4"]) == code
 
 
 @pytest.mark.parametrize("n_terms, open_at, argv", [

@@ -96,7 +96,7 @@ def test_to_moments_roundtrip_certified_prefix(rng):
         n_J = pf.normal_index(len(pf))
         s = to_moments(pf, 2 * n_J)
         assert s.certified_up_to == 2 * n_J - 1
-        back = expand(s, len(pf) + 2, pf.degree_cap)
+        back = expand(s, len(pf) + 2, 3)
         for got, want in zip(back.terms, pf.terms):
             assert got.epsilon == want.epsilon
             assert got.p == want.p
@@ -110,7 +110,7 @@ def test_to_moments_terminated_roundtrip(rng):
         pf = random_pfraction(rng, rng.randint(1, 4), last_open=True)
         n_J = pf.normal_index(len(pf))
         s = to_moments(pf, 2 * n_J + 2)
-        back = expand(s, len(pf) + 2, pf.degree_cap)
+        back = expand(s, len(pf) + 2, 3)
         assert back.status == "terminated"
         assert back.terms == pf.terms
 
@@ -171,7 +171,6 @@ def test_interior_open_coupling_rejected():
     assert PFraction.from_json(last_open.to_json()).terms == last_open.terms
 
 
-def test_shifted_and_normal_index():
+def test_normal_index():
     pf = catalan_pfraction(4)
     assert pf.normal_index(3) == 3
-    assert len(pf.shifted(1)) == 3

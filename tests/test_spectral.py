@@ -96,6 +96,34 @@ def test_certificate_example64():
     assert cert.limsup_root > 1.0
 
 
+def test_certificate_refuses_a_fraction_too_short():
+    # the backward sweep starts 8 terms past J; with fewer the direct
+    # Q_j + m P_j cancel at depth and read "violated" (C = 3.3e5)
+    with pytest.raises(TruncationTooShallow,
+                       match="need 49 terms, the fraction has 45"):
+        spectral.resolvent_certificate(catalan_pfraction(45), 3.0, M3, 40)
+    cert = spectral.resolvent_certificate(catalan_pfraction(49), 3.0, M3, 40)
+    assert cert.verdict == "certified_decay"
+    assert cert.q == pytest.approx(GOLDEN_SMALL)
+
+
+def test_certificate_ignores_an_open_last_term():
+    from gjacobi.pfraction import PFraction, PFractionTerm
+    coupled = catalan_pfraction(17)
+    last = coupled[16]
+    open_ = PFraction(coupled.terms[:16] + (PFractionTerm(1, None, last.p),))
+    want = spectral.resolvent_certificate(coupled, 3.0, M3, 4)
+    assert want.C == 0.4458247200066036
+    assert spectral.resolvent_certificate(open_, 3.0, M3, 4) == want
+
+
+def test_certificate_violated_for_the_wrong_m():
+    # m = 0 leaves W = Q, which grows at lambda = 3: the envelope fitted on
+    # the early depths fails at every depth of the deep third
+    cert = spectral.resolvent_certificate(catalan_pfraction(60), 3.0, 0.0, 40)
+    assert cert.verdict == "violated"
+
+
 def test_resolvent_column_residuals():
     pf = catalan_pfraction(45)
     H = gm.assemble(pf)
@@ -113,7 +141,7 @@ def test_resolvent_column_composite_block():
     x = Polynomial.x()
     terms = (PFractionTerm(1, F(1), x * x),) + tuple(
         PFractionTerm(1, F(1), x) for _ in range(49))
-    pf = PFraction(terms, degree_cap=2)
+    pf = PFraction(terms)
     H = gm.assemble(pf)
     m = gm.m_truncation(pf, 45, 2 + 1j)
     rc = spectral.formal_resolvent_column(H, 2 + 1j, m, 0, 1, 32)
@@ -137,3 +165,10 @@ def test_resolvent_column_errors():
         spectral.formal_resolvent_column(H, 3.0, M3, 7, 0, 8)
     with pytest.raises(TruncationTooShallow):
         spectral.formal_resolvent_column(H, 3.0, M3, 0, 0, 99)
+
+
+def test_resolvent_column_refuses_a_fraction_too_short():
+    # trunc 8 reads Weyl values through depth 7, which need 16 terms
+    H = gm.assemble(catalan_pfraction(10))
+    with pytest.raises(TruncationTooShallow, match="need 16 terms"):
+        spectral.formal_resolvent_column(H, 3.0, M3, 0, 0, 8)
