@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InsufficientMoments, OutOfRange, PoleAtLambda
 from .gjmatrix import m_truncation
 from .moments import MomentSequence
 from .pfraction import PFraction
-from .poly import Polynomial
+from .poly import Polynomial, _is_exact, _mul
 from .polyrec import OrthoSequences
-from .series import laurent_coeffs
 
 COINCIDES = "coincides"
 NOT_EXIST = "not_exist"
@@ -61,23 +59,28 @@ def diagonal(seqs: OrthoSequences, j: int) -> PadeApproximant:
 def match_order(appr: PadeApproximant, s: MomentSequence) -> int:
     """Largest index i with all Laurent coefficients through i equal to s.
 
-    Exact comparison for exact data; floats compared to 1e-9 relative.
+    With S = sum s_i lambda^-(i+1), num/den + S = g/den for
+    g = num + den*S = sum g_e lambda^(n-1-e), n = deg den, and g_e reads
+    only s_0..s_e.  Since den has degree n, the coefficients agree through i
+    exactly when g_0 = ... = g_i = 0: the answer is one product, no division.
+    Exact data is compared exactly; a float g_e counts as zero within 1e-9
+    of the magnitudes summed into it.
     """
     need = 2 * appr.order + (appr.block_size or 1)
     if len(s) < need:
         raise InsufficientMoments(f"need {need} moments, have {len(s)}")
-    c = laurent_coeffs(appr.numerator, appr.denominator, len(s))
-    exact = s.is_exact and all(isinstance(v, (int, Fraction)) for v in c)
-    last = -1
-    for i in range(len(s)):
-        if exact:
-            ok = c[i] == -s[i]
-        else:
-            ok = abs(complex(c[i]) + complex(s[i])) <= 1e-9 * max(1.0, abs(complex(s[i])))
-        if not ok:
-            break
-        last = i
-    return last
+    n, m = appr.denominator.degree, len(s)
+    rden = appr.denominator.coeffs[::-1]
+    num = appr.numerator.coeffs
+    top = [0] * (n - len(num)) + list(num[::-1]) + [0] * (m - n)  # lambda^(n-1-e)
+    g = _mul(rden, s.coeffs)
+    if s.is_exact and _is_exact(rden) and _is_exact(num):
+        first = next((e for e in range(m) if g[e] + top[e]), m)
+    else:
+        mag = _mul([abs(c) for c in rden], [abs(c) for c in s.coeffs])
+        first = next((e for e in range(m) if abs(g[e] + top[e])
+                      > 1e-9 * (mag[e] + abs(top[e]))), m)
+    return first - 1
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@
 Each expansion step strips the polynomial part of -1/phi (a monic block
 polynomial with a sign), rescales the remainder so the next tail is again
 normalized, and accounts for the 2k moment coefficients the step consumed.
+The tail is kept as a pair of series num/den, not as one expanded series, so
+a step multiplies once instead of dividing the whole tail (Gragg, SIAM
+Review 14, 1972): O(depth * k) per step, O(N^2) for the expansion.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import accumulate
 from .errors import (AllZero, DegreeCapExceeded, EmptyPFraction,
                      InsufficientMoments, OpenCoupling, OutOfRange)
 from .moments import MomentSequence, normalize, parse_scalar, _scalar_str
-from .poly import Polynomial
+from .poly import Polynomial, _is_exact, _mul
 from .series import laurent_coeffs, series_div
 
 STATUS_OPEN = "open"
@@ -110,64 +113,77 @@ class PFraction:
         return pf
 
 
-def expand_step(tail: MomentSequence):
-    """One P-fraction step on a normalized tail.
+def expand_step(num, den):
+    """One P-fraction step on a tail held as the series quotient num/den.
 
-    Returns (term, next_tail); next_tail is None when the input depth leaves
-    no coefficients for the remainder.  A term whose remainder vanishes
-    through the known depth carries b_squared None and a zero next_tail.
+    num and den are coefficient sequences, low to high, with den[0] != 0;
+    the tail's depth is len(num), and num's zeros before its first nonzero
+    entry are exact.  A normalized tail t is the pair (t.coeffs, (1,)).
+    Returns (term, next_pair); next_pair is None when the depth leaves no
+    coefficients for the remainder.  A term whose remainder vanishes
+    through the known depth carries b_squared None and a zero remainder.
     """
-    i0 = tail.first_nonzero()
+    i0 = next((i for i, c in enumerate(num) if c), None)
     if i0 is None:
         raise AllZero("tail is identically zero")
     k = i0 + 1
-    depth = len(tail)
+    depth = len(num)
     if depth < 2 * k:
         raise InsufficientMoments(
             f"block degree {k} needs depth {2 * k}, have {depth}"
         )
-    eps = 1 if tail[i0] > 0 else -1
-    # -1/phi = lambda^k * V(1/lambda) with V = 1/U, U(z) = sum s_{k-1+i} z^i
-    v = series_div((1,), tail.coeffs[i0:], depth - i0)
+    eps = 1 if num[i0] / den[0] > 0 else -1
+    # -1/phi = lambda^k * V(1/lambda) with V = den/a, a(z) = sum num_{k-1+i} z^i
+    a = num[i0:]
+    v = series_div(den[:k + 1], a, k + 1)
     p = Polynomial([v[k - m] / v[0] for m in range(k + 1)])
-    rem = [-v[k + 1 + j] for j in range(depth - 2 * k)]
-    nz = next((j for j, c in enumerate(rem) if not _zeroish(c, tail)), None)
+    # R = den - (v_0 + ... + v_k z^k) a vanishes through z^k, and R/a is
+    # the rest of V: the remainder is -r/a with r = R_{k+1}, R_{k+2}, ...
+    va = _mul(v, a)
+    d = list(den[k + 1:depth - k + 1])
+    d += [0] * (depth - 2 * k - len(d))
+    r = [dj - va[j] for j, dj in enumerate(d, k + 1)]
+    if _is_exact(a) and _is_exact(den):
+        nz = next((j for j, c in enumerate(r) if c), None)
+    else:
+        # R_j is zero within rounding of the magnitudes that cancelled in it
+        mag = _mul([abs(c) for c in v], [abs(c) for c in a])
+        nz = next((j for j, c in enumerate(r)
+                   if abs(c) > 1e-12 * (abs(d[j]) + mag[k + 1 + j])), None)
     if nz is None:
         term = PFractionTerm(eps, None, p)
-        next_tail = MomentSequence(tuple(rem)) if rem else None
-        return term, next_tail
-    b2 = abs(rem[nz])
-    term = PFractionTerm(eps, b2, p)
-    next_tail = MomentSequence(tuple(c / b2 for c in rem))
-    return term, next_tail
-
-
-def _zeroish(c, tail):
-    if tail.is_exact:
-        return c == 0
-    return abs(c) <= 1e-12
+        next_pair = (tuple(-c for c in r), a[:len(r)]) if r else None
+        return term, next_pair
+    b2 = abs(r[nz] / a[0])
+    # the next tail is -r/(b2 a); dividing r keeps |den[0]| at 1
+    next_num = (0,) * nz + tuple(-c / b2 for c in r[nz:])
+    return PFractionTerm(eps, b2, p), (next_num, a[:len(r)])
 
 
 def expand(s: MomentSequence, max_terms: int, degree_cap: int) -> PFraction:
     """Expand a moment sequence into at most max_terms P-fraction terms."""
     tail = normalize(s)
+    i0 = tail.first_nonzero()
+    # entries the zero test drops become exact zeros of the first pair
+    pair = ((0,) * i0 + tail.coeffs[i0:], (1,))
     terms = []
     status = STATUS_OPEN
     while len(terms) < max_terms:
-        # never None or all zero here: normalize leaves a nonzero entry, an
-        # uncoupled step ends the loop, a coupled step's tail holds +-1, and
-        # the relative zero test never drops a tail's largest entry
-        k = tail.first_nonzero() + 1
+        # never all zero here: normalize leaves a nonzero entry, an uncoupled
+        # step ends the loop, and a coupled step's numerator keeps its
+        # first nonzero remainder coefficient
+        num = pair[0]
+        k = next(i for i, c in enumerate(num) if c) + 1
         if k > degree_cap:
             raise DegreeCapExceeded(f"block degree {k} exceeds cap {degree_cap}")
-        if len(tail) < 2 * k:
+        if len(num) < 2 * k:
             status = STATUS_EXHAUSTED
             break
-        term, tail = expand_step(tail)
+        term, pair = expand_step(*pair)
         terms.append(term)
         if term.b_squared is None:
             # remainder vanished through the known depth
-            rem_depth = 0 if tail is None else len(tail)
+            rem_depth = 0 if pair is None else len(pair[0])
             status = STATUS_TERMINATED if rem_depth >= 2 else STATUS_EXHAUSTED
             break
     if not terms:

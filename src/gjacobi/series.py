@@ -2,6 +2,10 @@
 
 Used for Laurent expansions at infinity after the substitution z = 1/lambda.
 All routines work over any coefficient field (Fraction or float/complex).
+Callers: `series_div` gives the k+1 leading coefficients of an expansion
+step (`pfraction.expand_step`) and a companion block's E^-1
+(`gjmatrix.companion`); `laurent_coeffs` gives the moments of a P-fraction
+(`pfraction.to_moments`).
 """
 
 from __future__ import annotations

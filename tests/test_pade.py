@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from gjacobi.errors import InsufficientMoments, OutOfRange, PoleAtLambda
 from gjacobi.moments import MomentSequence
 from gjacobi.pfraction import to_moments
 from gjacobi.poly import Polynomial
+from gjacobi.series import laurent_coeffs
 
 F = Fraction
 x = Polynomial.x()
@@ -100,6 +102,37 @@ def test_match_order_contract_on_pipeline_data(rng):
             appr = pade.diagonal(seqs, j)
             mo = pade.match_order(appr, s)
             assert mo >= 2 * appr.order - 2 + appr.block_size
+
+
+def test_match_order_equals_laurent_coefficient_oracle(rng):
+    # the definition: the last index through which the approximant's
+    # Laurent coefficients at infinity equal -s
+    for i in range(12):
+        pf = random_pfraction(rng, rng.randint(2, 6), last_open=i % 3 == 0)
+        J = len(pf)
+        seqs = polyrec.generate(pf, J - 1)
+        full = to_moments(pf, 2 * pf.normal_index(J) + 2)
+        for j in range(1, J):
+            appr = pade.diagonal(seqs, j)
+            for count in (2 * appr.order + appr.block_size, len(full)):
+                s = MomentSequence(full.coeffs[:count])
+                c = laurent_coeffs(appr.numerator, appr.denominator, count)
+                want = next((e for e in range(count) if c[e] != -s[e]), count) - 1
+                assert pade.match_order(appr, s) == want
+
+
+def test_match_order_on_float_moments_never_below_exact():
+    # rounding the moments may hide a small mismatch, never invent one
+    rng = random.Random(3)
+    for _ in range(200):
+        pf = random_pfraction(rng, rng.randint(2, 6))
+        J = len(pf)
+        exact = to_moments(pf, 2 * pf.normal_index(J))
+        floats = MomentSequence(tuple(float(c) for c in exact.coeffs))
+        seqs = polyrec.generate(pf, J - 1)
+        for j in range(1, J):
+            appr = pade.diagonal(seqs, j)
+            assert pade.match_order(appr, floats) >= pade.match_order(appr, exact)
 
 
 def test_hankel_oracle_equivalence(rng):

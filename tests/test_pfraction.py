@@ -1,7 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import catalan_pfraction, random_pfraction
 from gjacobi import gjmatrix as gm
@@ -11,6 +14,7 @@ from gjacobi.moments import MomentSequence
 from gjacobi.pfraction import (PFraction, PFractionTerm, expand, expand_step,
                                to_moments)
 from gjacobi.poly import Polynomial
+from gjacobi.series import series_div
 
 F = Fraction
 x = Polynomial.x()
@@ -46,7 +50,7 @@ def test_expand_degenerate_composite():
 
 def test_expand_step_consumes_2k_coefficients():
     s = MomentSequence(tuple(F(v) for v in (0, 1, 0, 0, 1, 0, 0, 1)))
-    term, tail = expand_step(s)
+    term, (tail, _) = expand_step(s.coeffs, (1,))
     assert term.degree == 2
     assert len(tail) == len(s) - 2 * term.degree
 
@@ -75,12 +79,12 @@ def test_expand_errors():
     with pytest.raises(DegreeCapExceeded):
         expand(MomentSequence(tuple(F(v) for v in (0, 0, 1, 0, 0, 0))), 4, 2)
     with pytest.raises(InsufficientMoments):
-        expand_step(MomentSequence((F(0), F(1), F(0))))
+        expand_step((F(0), F(1), F(0)), (1,))
 
 
 def test_expand_step_reciprocal_matches_naive_oracle():
     s = MomentSequence(tuple(F(v) for v in (1, 2, -1, 3, 0, 1)))
-    term, tail = expand_step(s)
+    term, (num, den) = expand_step(s.coeffs, (1,))
     u = [s[i] for i in range(len(s))]
     v = _naive_reciprocal(u, len(u))
     # k = 1: p = eps * v_1..v_0? block is (v_0-scaled); check remainder line
@@ -88,6 +92,8 @@ def test_expand_step_reciprocal_matches_naive_oracle():
     rem = [-v[2 + j] for j in range(len(s) - 2)]
     first = next(r for r in rem if r != 0)
     assert term.b_squared == abs(first)
+    # the next pair's series is the remainder rescaled by b^2
+    assert series_div(num, den, len(rem)) == [r / term.b_squared for r in rem]
 
 
 def test_to_moments_roundtrip_certified_prefix(rng):
@@ -115,6 +121,19 @@ def test_to_moments_terminated_roundtrip(rng):
         assert back.terms == pf.terms
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_terms=st.integers(1, 8),
+       tenth=st.integers(0, 9))
+def test_expand_recovers_the_generating_terms(seed, n_terms, tenth):
+    # 2*n_J + 2 moments give back every term; the last coupling is not in
+    # the moments of the J-term fraction, so it comes back open
+    pf = random_pfraction(random.Random(seed), n_terms, last_open=tenth < 3)
+    back = expand(to_moments(pf, 2 * pf.normal_index(len(pf)) + 2), len(pf) + 2, 3)
+    last = pf.terms[-1]
+    assert back.terms == pf.terms[:-1] + (PFractionTerm(last.epsilon, None, last.p),)
+    assert back.status == "terminated"
+
+
 def test_to_moments_matches_matrix_moments(rng):
     # the series of Qhat_J/Phat_J against [H^i e, e] of the assembled matrix,
     # for every count up to 2*n_J: small counts recur only a short prefix
@@ -135,20 +154,39 @@ def test_to_moments_float_data_rounds_exact_values():
     assert s.scale == 1.0 and isinstance(s.scale, float)
 
 
+def _expand_float_moments(b0_squared, extra):
+    """Float moments (2*n_J + extra) of a 4-term fraction with first
+    coupling b0_squared, expanded back."""
+    spec = [(1, b0_squared, x), (-1, 1.0, x * x - 1), (1, 2.0, x), (1, None, x)]
+    pf = PFraction(tuple(PFractionTerm(e, b2, p.as_float()) for e, b2, p in spec))
+    s = to_moments(pf, 2 * pf.normal_index(len(pf)) + extra)
+    assert not s.is_exact
+    return expand(s, 10, 6)
+
+
 def test_expand_float_moments_with_a_small_coupling():
     # float moments of a 4-term fraction with one small coupling: the
     # remainder's rounding noise must not be read as a further term
-    spec = [(1, 1e-6, x), (-1, 1.0, x * x - 1), (1, 2.0, x), (1, None, x)]
-    pf = PFraction(tuple(PFractionTerm(e, b2, p.as_float()) for e, b2, p in spec))
-    s = to_moments(pf, 2 * pf.normal_index(len(pf)) + 4)
-    assert not s.is_exact
-    back = expand(s, 10, 6)
+    back = _expand_float_moments(1e-6, 4)
     assert back.block_degrees() == (1, 2, 1, 1)
     assert back.status == "terminated"
     assert [t.epsilon for t in back.terms] == [1, -1, 1, 1]
     assert back[0].b_squared == pytest.approx(1e-6, rel=1e-9)
     assert back[1].b_squared == pytest.approx(1.0, rel=1e-9)
     assert back[2].b_squared == pytest.approx(2.0, rel=1e-9)
+
+
+def test_expand_float_moments_with_a_coupling_below_1e_12():
+    # the zero test scales with the magnitudes that cancel in the
+    # remainder, so a coupling of 1e-13 is not taken for zero
+    for extra in (2, 4):
+        back = _expand_float_moments(1e-13, extra)
+        assert back.block_degrees() == (1, 2, 1, 1)
+        assert back.status == "terminated"
+        assert [t.epsilon for t in back.terms] == [1, -1, 1, 1]
+        assert back[0].b_squared == pytest.approx(1e-13, rel=1e-9)
+        assert back[1].b_squared == pytest.approx(1.0, rel=1e-9)
+        assert back[2].b_squared == pytest.approx(2.0, rel=1e-9)
 
 
 def test_json_roundtrip():
