@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (BadRange, EmptyPFraction, NotMonic, OutOfRange,
                      PoleAtLambda, SupportTooWide, TruncationTooShallow)
 from .pfraction import PFraction
-from .poly import Polynomial
+from .poly import Polynomial, _clear
 from .series import series_div
 
 
@@ -238,19 +238,32 @@ def truncation_charpoly(H: GJMatrix, j_lo: int, j_hi: int) -> Polynomial:
 
 
 def _hessenberg_charpoly(A):
-    """charpoly of an upper Hessenberg matrix with exact entries."""
+    """charpoly of an upper Hessenberg matrix with exact entries.
+
+    With D the lcm of the entries' denominators, B = D*A is an integer
+    matrix and det(x - A) = D^-n q(D x) for q = det(y - B).  The recursion
+    d_m = (y - B_{m-1,m-1}) d_{m-1} - sum_i B_{i,m-1} B_{i+1,i}...B_{m-1,m-2} d_i
+    runs on q's integer coefficient lists; one Polynomial is built at the end.
+    """
     n = len(A)
-    x = Polynomial.x()
-    d = [Polynomial.one()]
+    ratios = [[c.as_integer_ratio() for c in row] for row in A]
+    D = math.lcm(*(d for row in ratios for _, d in row))
+    B = [[v * (D // d) for v, d in row] for row in ratios]
+    d = [[1]]
     for m in range(1, n + 1):
-        term = (x - A[m - 1][m - 1]) * d[m - 1]
-        prod = Fraction(1)
+        prev, a = d[m - 1], B[m - 1][m - 1]
+        term = [0] + prev  # y * d_{m-1}
+        for k, v in enumerate(prev):
+            term[k] -= a * v
+        prod = 1
         for i in range(m - 2, -1, -1):
-            prod *= A[i + 1][i]
-            if A[i][m - 1]:
-                term = term - (A[i][m - 1] * prod) * d[i]
+            prod *= B[i + 1][i]
+            c = B[i][m - 1] * prod
+            if c:
+                for k, v in enumerate(d[i]):
+                    term[k] -= c * v
         d.append(term)
-    return d[n]
+    return Polynomial.from_integer_ratio([q * D ** k for k, q in enumerate(d[n])], D ** n)
 
 
 # -- m-functions ------------------------------------------------------
@@ -305,15 +318,18 @@ def moments_from_matrix(H: GJMatrix, G: GramMetric, count: int):
         raise TruncationTooShallow(
             f"{H.n_blocks} blocks (dim {n_total}) certify only {2 * n_total} moments"
         )
-    rows = [[(l, c) for l, c in enumerate(row) if c] for row in H.exact_scaled()]
-    g0 = G.blocks[0]
-    k0 = len(g0)
-    v = [Fraction(0)] * n_total
-    v[0] = Fraction(1)
+    # v_i = (D K)^i e in integers, D the lcm of K's denominators, so that
+    # s_i = [G_0 e, v_i] / D^i; the first row of G_0 is g / g_den
+    K = [[c.as_integer_ratio() for c in row] for row in H.exact_scaled()]
+    D = math.lcm(*(d for row in K for _, d in row))
+    rows = [[(l, c * (D // d)) for l, (c, d) in enumerate(row) if c] for row in K]
+    g, g_den = _clear(G.blocks[0][0])
+    v = [1] + [0] * (n_total - 1)
     out = []
     for _ in range(count):
-        out.append(sum(g0[0][l] * v[l] for l in range(k0)))
+        out.append(Fraction(sum(a * b for a, b in zip(g, v)), g_den))
         v = [sum(c * v[l] for l, c in row) for row in rows]
+        g_den *= D
     return MomentSequence(tuple(out))
 
 

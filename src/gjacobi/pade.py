@@ -15,7 +15,7 @@ from .errors import InsufficientMoments, OutOfRange, PoleAtLambda
 from .gjmatrix import m_truncation
 from .moments import MomentSequence
 from .pfraction import PFraction
-from .poly import Polynomial, _is_exact, _mul
+from .poly import Polynomial, _clear, _int_mul, _mul
 from .polyrec import OrthoSequences
 
 COINCIDES = "coincides"
@@ -69,14 +69,19 @@ def match_order(appr: PadeApproximant, s: MomentSequence) -> int:
     need = 2 * appr.order + (appr.block_size or 1)
     if len(s) < need:
         raise InsufficientMoments(f"need {need} moments, have {len(s)}")
-    n, m = appr.denominator.degree, len(s)
-    rden = appr.denominator.coeffs[::-1]
-    num = appr.numerator.coeffs
-    top = [0] * (n - len(num)) + list(num[::-1]) + [0] * (m - n)  # lambda^(n-1-e)
-    g = _mul(rden, s.coeffs)
-    if s.is_exact and _is_exact(rden) and _is_exact(num):
-        first = next((e for e in range(m) if g[e] + top[e]), m)
+    den, num, m = appr.denominator, appr.numerator, len(s)
+    n = den.degree
+    if s.is_exact and den.is_exact and num.is_exact:
+        # g * dd * nd * sd in integers, for den = D/dd, num = N/nd, s = S/sd
+        (D, dd), (N, nd) = den.as_integer_ratio(), num.as_integer_ratio()
+        S, sd = _clear(s.coeffs)
+        top = [0] * (n - len(N)) + list(N[::-1]) + [0] * (m - n)
+        g, dsd = _int_mul(D[::-1], S), dd * sd
+        first = next((e for e in range(m) if dsd * top[e] + nd * g[e]), m)
     else:
+        rden = den.coeffs[::-1]
+        top = [0] * (n - num.degree - 1) + list(num.coeffs[::-1]) + [0] * (m - n)
+        g = _mul(rden, s.coeffs)
         mag = _mul([abs(c) for c in rden], [abs(c) for c in s.coeffs])
         first = next((e for e in range(m) if abs(g[e] + top[e])
                       > 1e-9 * (mag[e] + abs(top[e]))), m)

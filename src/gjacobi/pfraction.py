@@ -210,12 +210,12 @@ def to_moments(pf: PFraction, count: int) -> MomentSequence:
     n_ends = accumulate(t.degree for t in pf.terms)  # n_1, n_2, ..., n_J
     J = next((j for j, n in enumerate(n_ends, 1) if 2 * n >= count), len(pf))
     terms = pf.terms[:J]
-    exact = all(isinstance(c, (int, Fraction))
-                for t in terms for c in (t.b_squared or 0, *t.p.coeffs))
+    exact = all(t.p.is_exact and isinstance(t.b_squared or 0, (int, Fraction))
+                for t in terms)
     if not exact:
         terms = tuple(PFractionTerm(
             t.epsilon, None if t.b_squared is None else Fraction(t.b_squared),
-            Polynomial([Fraction(c) for c in t.p.coeffs])) for t in terms)
+            Polynomial.from_integer_ratio(*t.p.as_integer_ratio())) for t in terms)
     seqs = generate(PFraction(terms), J)
     moments = laurent_coeffs(seqs.Qhat[J], seqs.Phat[J], count)
     ring = Fraction if exact else float

@@ -1,11 +1,15 @@
 """Dense univariate polynomials over exact rationals or floats.
 
-Coefficients are stored low-to-high with no trailing zeros.  The zero
-polynomial has an empty coefficient tuple and degree -1.  Exact polynomials
-show ``fractions.Fraction`` (or int) coefficients, but their products, exact
-evaluation and coprimality run on integers: each operand is cleared to
-integer coefficients over one common denominator, so no gcd is paid per
-coefficient operation.  Float polynomials use plain float/complex arithmetic.
+Coefficients run low-to-high with no trailing zeros; the zero polynomial has
+no coefficients and degree -1.  An exact polynomial is held as a tuple of
+integer numerators over one positive denominator in lowest terms
+(gcd(den, *num) == 1), so +, -, *, scaling, comparison, exact evaluation and
+gcd run on integers with one gcd per result, not one per coefficient.  A
+product is one call of the integer kernel `_int_mul`: one big-integer
+multiply (Kronecker substitution), or term by term when an operand is short.
+`coeffs` shows the coefficients as Fractions, built on first read and then
+kept.  Float polynomials keep their float (or complex) coefficients and plain
+float arithmetic.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 _P = (1 << 61) - 1  # Mersenne prime of poly_gcd's modular coprimality test
+_SHORT = 6  # _int_mul multiplies term by term up to this many coefficients
 
 
 def _trim(coeffs):
@@ -26,101 +31,157 @@ def _trim(coeffs):
 class Polynomial:
     """Immutable dense polynomial; supports +, -, * and gcd."""
 
-    __slots__ = ("coeffs",)
+    # exact: _num integer numerators, _den > 0, _coeffs None until read;
+    # float: _num and _den None, _coeffs the coefficients
+    __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, Polynomial):
-            coeffs = coeffs.coeffs
-        object.__setattr__(self, "coeffs", _trim(tuple(coeffs)))
+            num, den, coeffs = coeffs._num, coeffs._den, coeffs._coeffs
+        else:
+            coeffs = _trim(tuple(coeffs))
+            num = den = None
+            if _is_exact(coeffs):
+                num, den = _clear(coeffs)  # in lowest terms already
+                num, coeffs = tuple(num), None
+        _set(self, num, den, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors -------------------------------------------------
     @classmethod
+    def from_integer_ratio(cls, num, den=1):
+        """The exact polynomial sum num[k] x^k / den (den > 0)."""
+        return _reduced(num, den)
+
+    @classmethod
     def zero(cls):
-        return cls(())
+        return _exact((), 1)
 
     @classmethod
     def one(cls):
-        return cls((Fraction(1),))
+        return _exact((1,), 1)
 
     @classmethod
     def x(cls):
-        return cls((Fraction(0), Fraction(1)))
+        return _exact((0, 1), 1)
 
     # -- basic queries ------------------------------------------------
     @property
+    def coeffs(self):
+        c = self._coeffs
+        if c is None:
+            den = self._den
+            c = tuple(Fraction(v, den) for v in self._num)
+            object.__setattr__(self, "_coeffs", c)
+        return c
+
+    @property
+    def is_exact(self):
+        return self._num is not None
+
+    def as_integer_ratio(self):
+        """(integer numerators, positive denominator) in lowest terms; float
+        coefficients are read as the rationals they are."""
+        if self._num is not None:
+            return self._num, self._den
+        num, den = _clear(self._coeffs)
+        return tuple(num), den
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._coeffs if self._num is None else self._num) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return self.degree < 0
 
     @property
     def leading(self):
-        if not self.coeffs:
+        if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        if self._num is None:
+            return self._coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     @property
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        if self._num is None:
+            return bool(self._coeffs) and self._coeffs[-1] == 1
+        return bool(self._num) and self._num[-1] == self._den
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return not self.is_zero
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        if self._num is not None and other._num is not None:
+            return self._den == other._den and self._num == other._num
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.coeffs)  # Fraction and float hash alike when equal
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        if self._num is None:
+            return Polynomial(tuple(-c for c in self._coeffs))
+        return _exact(tuple(-v for v in self._num), self._den)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return Polynomial((other,)) + (-self)
+        return Polynomial((other,)) - self
+
+    def _combine(self, other, sign):
+        """self + sign * other."""
+        if not isinstance(other, Polynomial):
+            other = Polynomial((other,))
+        if self._num is None or other._num is None:
+            a, b = self.coeffs, (other if sign > 0 else -other).coeffs
+            if len(a) < len(b):
+                a, b = b, a
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] += c
+            return Polynomial(out)
+        den = _int_lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        a, b = self._num, other._num
+        out = [fa * v for v in a] + [0] * (len(b) - len(a))
+        for i, v in enumerate(b):
+            out[i] += fb * v
+        return _reduced(out, den)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        return Polynomial(_mul(a, b))
+        if self._num is None or other._num is None:
+            return Polynomial(_mul(self.coeffs, other.coeffs))
+        return _reduced(_int_mul(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         if not c:
             return Polynomial.zero()
-        return Polynomial(tuple(c * v for v in self.coeffs))
+        if self._num is None or not isinstance(c, (int, Fraction)):
+            return Polynomial(tuple(c * v for v in self.coeffs))
+        n, d = c.as_integer_ratio()
+        return _reduced([n * v for v in self._num], self._den * d)
 
     # -- evaluation ---------------------------------------------------
     def __call__(self, x):
@@ -130,7 +191,10 @@ class Polynomial:
         return acc
 
     def as_float(self):
-        return Polynomial(tuple(float(c) for c in self.coeffs))
+        if self._num is None:
+            return Polynomial(tuple(float(c) for c in self._coeffs))
+        den = self._den  # int / int is correctly rounded, as float(Fraction)
+        return Polynomial(tuple(v / den for v in self._num))
 
     def eval_exact_pair(self, lam):
         """(re, im) of p(lam) as Fractions, or None when not exactly doable.
@@ -141,7 +205,7 @@ class Polynomial:
         common power-of-two denominator of its parts), Horner runs on the
         integers sum c_k (a + bi)^k D^(n-k) and divides by D^n den once.
         """
-        if not _is_exact(self.coeffs):
+        if self._num is None:
             return None
         lam = complex(lam)
         try:
@@ -151,18 +215,45 @@ class Polynomial:
         D = _int_lcm(re.denominator, im.denominator)
         a = re.numerator * (D // re.denominator)
         b = im.numerator * (D // im.denominator)
-        ints, den = _clear(self.coeffs)
         ar = ai = 0
         dk = 1  # D^(n-k) at coefficient k; D^(n+1) after the loop
-        for c in reversed(ints):
+        for c in reversed(self._num):
             ar, ai = ar * a - ai * b + c * dk, ar * b + ai * a
             dk *= D
-        return Fraction(ar * D, den * dk), Fraction(ai * D, den * dk)
+        den = self._den * dk
+        return Fraction(ar * D, den), Fraction(ai * D, den)
 
     def monic(self):
         if self.is_zero:
             return self
-        return self.scale(1 / Fraction(self.leading) if isinstance(self.leading, (int, Fraction)) else 1.0 / self.leading)
+        if self._num is None:
+            return self.scale(1.0 / self.leading)
+        lead = self._num[-1]  # p / leading == num / lead
+        return _reduced(self._num if lead > 0 else [-v for v in self._num], abs(lead))
+
+
+def _set(p, num, den, coeffs):
+    object.__setattr__(p, "_num", num)
+    object.__setattr__(p, "_den", den)
+    object.__setattr__(p, "_coeffs", coeffs)
+
+
+def _exact(num, den):
+    """Exact Polynomial of a trimmed numerator tuple over den, in lowest terms."""
+    p = object.__new__(Polynomial)
+    _set(p, num, den, None)
+    return p
+
+
+def _reduced(num, den):
+    """Exact Polynomial sum num[k] x^k / den (den > 0), trimmed and reduced."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    g = _int_gcd(den, *num[:n]) if den != 1 else 1
+    if g > 1:
+        return _exact(tuple(v // g for v in num[:n]), den // g)
+    return _exact(tuple(num[:n]), den)
 
 
 def _is_exact(coeffs):
@@ -184,6 +275,8 @@ def _primitive(ints):
 
 
 def _mul(a, b):
+    """Product of two coefficient sequences: exact by _kronecker_mul, else
+    schoolbook in float arithmetic."""
     if _is_exact(a) and _is_exact(b):
         return _kronecker_mul(a, b)
     out = [0] * (len(a) + len(b) - 1)
@@ -196,28 +289,45 @@ def _mul(a, b):
 
 
 def _kronecker_mul(a, b):
-    """Exact product by one big-integer multiply (Kronecker substitution).
+    """Exact product of two rational sequences as Fractions, by _int_mul on
+    their integer numerators over one denominator each."""
+    ia, da = _clear(a)
+    ib, db = _clear(b)
+    den = da * db
+    return [Fraction(c, den) for c in _int_mul(ia, ib)]
 
-    Both operands are cleared to integers over one denominator and packed
-    into one int each, a slot per coefficient.  A slot holds at least
+
+def _int_mul(a, b):
+    """Product of two nonempty integer sequences.
+
+    An operand of at most _SHORT coefficients multiplies term by term: its
+    partner's slots would be sized by the partner's large coefficients.
+    Otherwise both are packed into one int each, a slot per coefficient, and
+    multiplied once (Kronecker substitution).  A slot holds at least
     bitlen(max|a| max|b| min(len a, len b)) + 1 bits (rounded up to whole
     bytes), so every product coefficient fits its slot with its sign, and
     the product's slots read back as balanced signed digits.
     """
-    ia, da = _clear(a)
-    ib, db = _clear(b)
-    bound = max(map(abs, ia)) * max(map(abs, ib)) * min(len(ia), len(ib))
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) <= _SHORT:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, v in enumerate(b, i):
+                    out[j] += c * v
+        return out
+    bound = max(map(abs, a)) * max(map(abs, b)) * len(a)
     width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
-    n = len(ia) + len(ib) - 1
-    raw = (_pack(ia, width) * _pack(ib, width)).to_bytes(
+    n = len(a) + len(b) - 1
+    raw = (_pack(a, width) * _pack(b, width)).to_bytes(
         n * width, "little", signed=True)
     half, full = 1 << (8 * width - 1), 1 << (8 * width)
-    den = da * db
     out, borrow = [], 0
     for k in range(0, n * width, width):
         c = int.from_bytes(raw[k:k + width], "little") + borrow
         borrow = c >= half
-        out.append(Fraction(c - full if borrow else c, den))
+        out.append(c - full if borrow else c)
     return out
 
 
@@ -231,14 +341,13 @@ def _pack(ints, width):
 # -- exact gcd: modular coprimality test, then subresultant PRS --------
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of two exact polynomials: Polynomial.one() when a gcd mod P
-    already proves them coprime, else the subresultant remainder sequence."""
-    if a.is_zero:
-        return b.monic() if b else b
-    if b.is_zero:
-        return a.monic()
-    f = _primitive(_clear(a.coeffs)[0])
-    g = _primitive(_clear(b.coeffs)[0])
+    """Monic exact gcd over the rationals (float coefficients are read as the
+    rationals they are): Polynomial.one() when a gcd mod P already proves
+    them coprime, else the subresultant remainder sequence."""
+    f, g = a.as_integer_ratio()[0], b.as_integer_ratio()[0]
+    if not f or not g:
+        return Polynomial.from_integer_ratio(f or g).monic()
+    f, g = _primitive(f), _primitive(g)
     # A rational common factor h of f and g is (Gauss) a primitive integer
     # factor whose leading coefficient divides lc(f); when P does not, h
     # keeps its degree mod P.  So a constant gcd mod P proves coprimality.
@@ -257,7 +366,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         f, g = g, [c // div for c in r]
         gg_prev = f[-1]
         h = gg_prev ** delta // h ** (delta - 1) if delta >= 1 else h
-    return Polynomial([Fraction(c) for c in _primitive(g)]).monic()
+    return Polynomial.from_integer_ratio(_primitive(g)).monic()
 
 
 def _gcd_degree_mod_p(f, g):

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gjacobi.poly import Polynomial, poly_gcd
+from gjacobi.poly import _SHORT, Polynomial, poly_gcd
 from gjacobi.series import series_div
 
 F = Fraction
@@ -62,13 +63,87 @@ def test_exact_product_matches_convolution(a, b):
     assert all(isinstance(c, F) for c in prod.coeffs)
 
 
+def _trimmed(coeffs):
+    out = [F(c) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _padded_sum(a, b, sign):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trimmed(F(u) + sign * F(v) for u, v in zip(a, b))
+
+
+def _lowest_terms(p):
+    num, den = p.as_integer_ratio()
+    return den > 0 and (not num or num[-1] != 0) and gcd(den, *num) == 1
+
+
+@given(exact_coeffs, exact_coeffs, exact_scalars)
+def test_exact_ring_operations_match_fraction_oracle(a, b, c):
+    pa, pb = Polynomial(a), Polynomial(b)
+    results = [
+        (pa + pb, _padded_sum(a, b, 1)),
+        (pa - pb, _padded_sum(a, b, -1)),
+        (-pa, _trimmed(-F(v) for v in a)),
+        (pa * pb, _trimmed(_convolution(a, b))),
+        (pa.scale(c), _trimmed(F(c) * F(v) for v in a)),
+        (c * pa, _trimmed(F(c) * F(v) for v in a)),
+    ]
+    for got, want in results:
+        assert got.coeffs == want and got.is_exact and _lowest_terms(got)
+    assert Polynomial(pa.coeffs) == pa and (pa - pa).is_zero
+    # equal values built by different routes compare and hash alike
+    for twin in (pa.scale(2).scale(F(1, 2)), (pa + pb) - pb, pa * Polynomial.one()):
+        assert twin == pa and hash(twin) == hash(pa)
+    if not pa.is_zero:
+        assert pa.monic().coeffs == _trimmed(F(v) / F(pa.coeffs[-1]) for v in a)
+
+
+@given(exact_coeffs)
+def test_as_float_rounds_each_coefficient_once(a):
+    p = Polynomial(a)
+    assert p.as_float().coeffs == tuple(float(c) for c in p.coeffs)
+    assert not p.as_float().is_exact or p.is_zero
+
+
+def test_float_polynomials_keep_their_coefficients():
+    assert Polynomial((1.0,)) == Polynomial((F(1),))
+    assert hash(Polynomial((1.0,))) == hash(Polynomial((F(1),)))
+    assert Polynomial((0.5, 2.0)) == Polynomial((F(1, 2), 2)) != Polynomial((0.5, 2.5))
+    p = Polynomial((0.1, 0, 3.0))
+    assert not p.is_exact and p.coeffs == (0.1, 0, 3.0)
+    assert p.eval_exact_pair(1.0) is None
+    assert Polynomial((F(1, 3), 1.5)).eval_exact_pair(2.0) is None
+    mixed = Polynomial((F(1, 3), F(1))) + p
+    assert mixed.coeffs == (F(1, 3) + 0.1, 1.0, 3.0) and not mixed.is_exact
+    assert (p * x).coeffs == (0, 0.1, 0, 3.0)
+
+
+finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@given(st.lists(finite_floats, max_size=5), st.lists(finite_floats, max_size=5),
+       st.lists(st.integers(-3, 3), max_size=3))
+def test_gcd_of_floats_is_that_of_their_rationals(a, b, common):
+    h = Polynomial([F(v) for v in common] + [F(1)])
+    fa, fb = ((h * Polynomial([F(v) for v in c])).as_float() for c in (a, b))
+    want = poly_gcd(Polynomial([F(v) for v in fa.coeffs]),
+                    Polynomial([F(v) for v in fb.coeffs]))
+    assert poly_gcd(fa, fb) == want and want.is_exact
+
+
 @pytest.mark.parametrize("bits", [1, 7, 8, 9, 62, 63, 64, 200])
 def test_exact_product_at_the_slot_bound(bits):
     # product coefficients of either sign up to the slot bound
-    # max|a| max|b| min(len a, len b) in magnitude
+    # max|a| max|b| min(len a, len b) in magnitude, both operands long
+    # enough for the packed product
     top = 2 ** bits
-    for a, b in (([-top] * 5, [-top] * 3), ([top] * 4, [-top] * 4),
-                 ([top, -top] * 3, [top, top, -top]), ([-top], [top - 1] * 6)):
+    for a, b in (([-top] * 9, [-top] * 7), ([top] * 8, [-top] * 8),
+                 ([top, -top] * 5, [top, top, -top] * 3), ([-top] * 7, [top - 1] * 12)):
+        assert min(len(a), len(b)) > _SHORT
         assert (Polynomial(a) * Polynomial(b)).coeffs == tuple(_convolution(a, b))
 
 
