@@ -11,6 +11,7 @@ an unwritable --out, 3 any other library error (insufficient, degenerate or out-
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ from itertools import accumulate
 from . import gjmatrix, pade, periodic, polyrec, spectral
 from .errors import GJacobiError, InsufficientMoments, PoleAtLambda
 from .moments import MomentSequence, normal_indices
-from .pfraction import PFraction, expand, to_moments
+from .pfraction import PFraction, PFractionTerm, expand, to_moments
 from .poly import Polynomial
 
 EXIT_OK = 0
@@ -226,8 +227,6 @@ def cmd_moments(args):
 def cmd_selftest(args):
     checks = []
     x = Polynomial.x()
-    from .pfraction import PFractionTerm
-
     cat = PFraction(tuple(PFractionTerm(1, Fraction(1), x) for _ in range(12)))
     seqs = polyrec.generate(cat, 10)
     checks.append(("liouville-ostrogradsky",
@@ -248,6 +247,7 @@ def cmd_selftest(args):
     return EXIT_OK if ok else EXIT_INTERNAL
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="gjacobi", description=__doc__)
     p.add_argument("--float", dest="exact", action="store_false",

@@ -9,13 +9,16 @@ characteristic polynomials and the moments [H^i e, e] are unchanged.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import (BadRange, EmptyPFraction, NotMonic, OutOfRange,
                      PoleAtLambda, SupportTooWide, TruncationTooShallow)
+from .moments import MomentSequence
 from .pfraction import PFraction
 from .poly import Polynomial, _clear
 from .series import series_div
@@ -62,24 +65,6 @@ def companion(p: Polynomial) -> CompanionBlock:
 
 
 @dataclass(frozen=True)
-class GramMetric:
-    """Block-diagonal metric G_j = eps_j * E_{p_j}^{-1}."""
-
-    blocks: tuple  # exact matrices, one per companion block
-
-    def dense(self, n_blocks=None):
-        use = self.blocks if n_blocks is None else self.blocks[:n_blocks]
-        dim = sum(len(b) for b in use)
-        G = np.zeros((dim, dim))
-        off = 0
-        for b in use:
-            k = len(b)
-            G[off:off + k, off:off + k] = [[float(v) for v in row] for row in b]
-            off += k
-        return G
-
-
-@dataclass(frozen=True)
 class GJMatrix:
     """Generalized Jacobi matrix data: blocks A_j = C_{p_j}; the signs eps_j
     and the couplings b_j^2 of block j to j+1 are read from the source terms."""
@@ -99,69 +84,47 @@ class GJMatrix:
         return offs, acc
 
     def dim(self, n_blocks=None):
-        use = self.blocks if n_blocks is None else self.blocks[:n_blocks]
-        return sum(b.size for b in use)
+        return sum(b.size for b in self.blocks[:n_blocks])
 
     # -- dense views ---------------------------------------------------
     def dense_float(self, n_blocks=None):
         """Float truncation of H with b_j = sqrt(b_j^2)."""
-        n = self.n_blocks if n_blocks is None else n_blocks
-        dim = self.dim(n)
-        H = np.zeros((dim, dim))
-        off = 0
-        for j in range(n):
-            blk = self.blocks[j]
-            k = blk.size
-            H[off:off + k, off:off + k] = [[float(v) for v in row]
-                                           for row in blk.C]
-            if j + 1 < n:
-                t, t_next = self.source[j], self.source[j + 1]
-                b = math.sqrt(float(t.b_squared))
-                knext = self.blocks[j + 1].size
-                H[off + k, off + k - 1] = b                       # B_j corner
-                H[off, off + k + knext - 1] = t.epsilon * t_next.epsilon * b
-            off += k
-        return H
+        def corners(t, t_next):
+            b = math.sqrt(float(t.b_squared))
+            return b, t.epsilon * t_next.epsilon * b
+
+        return self._layout(np.zeros((self.dim(n_blocks),) * 2), n_blocks, corners)
 
     def exact_scaled(self, n_blocks=None):
         """Exact matrix K = D H D^{-1}: sub-corners b_j^2, super-corners
         eps_j*eps_{j+1} (similar to H, charpoly- and moment-preserving)."""
-        n = self.n_blocks if n_blocks is None else n_blocks
-        dim = self.dim(n)
-        K = [[Fraction(0)] * dim for _ in range(dim)]
-        off = 0
-        for j in range(n):
-            blk = self.blocks[j]
-            k = blk.size
-            for i in range(k):
-                for l in range(k):
-                    K[off + i][off + l] = blk.C[i][l]
-            if j + 1 < n:
-                t, t_next = self.source[j], self.source[j + 1]
-                knext = self.blocks[j + 1].size
-                K[off + k][off + k - 1] = Fraction(t.b_squared)
-                K[off][off + k + knext - 1] = Fraction(t.epsilon * t_next.epsilon)
-            off += k
-        return K
+        dim = self.dim(n_blocks)
+        return self._layout([[Fraction(0)] * dim for _ in range(dim)], n_blocks,
+                            lambda t, t_next: (Fraction(t.b_squared),
+                                               Fraction(t.epsilon * t_next.epsilon)))
 
-    def gram(self) -> GramMetric:
-        return GramMetric(tuple(
+    def _layout(self, M, n_blocks, corners):
+        """Fill the zero matrix M with the first n_blocks C_{p_j} and the
+        corners (sub, super) = corners(t_j, t_{j+1}) of each coupling: sub at
+        the first row of block j+1, last column of block j; super at the
+        first row of block j, last column of block j+1."""
+        blocks = self.blocks[:n_blocks]
+        _block_diag(M, [blk.C for blk in blocks])
+        off = 0
+        for j in range(len(blocks) - 1):
+            k, k_next = blocks[j].size, blocks[j + 1].size
+            sub, sup = corners(self.source[j], self.source[j + 1])
+            M[off + k][off + k - 1] = sub
+            M[off][off + k + k_next - 1] = sup
+            off += k
+        return M
+
+    def gram(self) -> tuple:
+        """Blocks G_j = eps_j * E_{p_j}^{-1} of the block-diagonal metric."""
+        return tuple(
             tuple(tuple(t.epsilon * v for v in row) for row in blk.E_inv)
             for t, blk in zip(self.source, self.blocks)
-        ))
-
-    def gram_scaled_blocks(self, n_blocks=None):
-        """Blocks of G' = D^{-1} G D^{-1} matching the K coordinates."""
-        n = self.n_blocks if n_blocks is None else n_blocks
-        out = []
-        prod = Fraction(1)
-        for j in range(n):
-            t = self.source[j]
-            out.append(tuple(tuple(t.epsilon * v / prod for v in row)
-                             for row in self.blocks[j].E_inv))
-            if j + 1 < n:
-                prod *= Fraction(t.b_squared)
-        return out
+        )
 
 
 def assemble(pf: PFraction) -> GJMatrix:
@@ -173,12 +136,14 @@ def assemble(pf: PFraction) -> GJMatrix:
 
 # -- symmetry in the indefinite metric --------------------------------
 
-def symmetry_defect(H: GJMatrix, G: GramMetric, trunc: int, x, y) -> float:
-    """|[Hx,y] - [x,Hy]| on a truncation; exactly zero for exact inputs.
+def symmetry_defect(H: GJMatrix, G: tuple, trunc: int, x, y) -> float:
+    """|[Hx,y] - [x,Hy]| on a truncation in the metric with blocks G.
 
     x and y must vanish on the last truncation block.  Exact (Fraction)
-    vectors are interpreted in the rescaled K coordinates, where the identity
-    holds with rational arithmetic; float vectors use the float H and G.
+    vectors are interpreted in the rescaled K coordinates, where block j of
+    the metric is G_j / (b_0^2...b_{j-1}^2) and the identity holds with
+    rational arithmetic; float vectors use the float H and G.  The defect is
+    exactly zero for exact vectors when G = H.gram().
     """
     if trunc < 2 or trunc > H.n_blocks:
         raise BadRange(f"truncation {trunc} outside [2, {H.n_blocks}]")
@@ -193,27 +158,30 @@ def symmetry_defect(H: GJMatrix, G: GramMetric, trunc: int, x, y) -> float:
     exact = all(isinstance(v, (int, Fraction)) for v in x + y)
     if exact:
         K = H.exact_scaled(trunc)
-        Gb = H.gram_scaled_blocks(trunc)
-        Gd = _block_diag_exact(Gb, dim)
+        prods = accumulate((Fraction(t.b_squared) for t in H.source.terms[:trunc - 1]),
+                           operator.mul, initial=Fraction(1))
+        Gd = _block_diag([[Fraction(0)] * dim for _ in range(dim)],
+                         [[[v / prod for v in row] for row in blk]
+                          for blk, prod in zip(G, prods)])
         lhs = _dot(_matvec(Gd, _matvec(K, x)), y)
         rhs = _dot(_matvec(Gd, x), _matvec(K, y))
         return abs(lhs - rhs)
     Hf = H.dense_float(trunc)
-    Gf = G.dense(trunc)
+    Gf = _block_diag(np.zeros((dim, dim)), G[:trunc])
     xv = np.asarray(x, dtype=complex)
     yv = np.asarray(y, dtype=complex)
     return abs((Gf @ (Hf @ xv)) @ np.conj(yv) - (Gf @ xv) @ np.conj(Hf @ yv))
 
 
-def _block_diag_exact(blocks, dim):
-    M = [[Fraction(0)] * dim for _ in range(dim)]
+def _block_diag(M, blocks):
+    """Fill the zero matrix M with the square blocks along its diagonal."""
     off = 0
     for b in blocks:
-        k = len(b)
-        for i in range(k):
-            for j in range(k):
-                M[off + i][off + j] = b[i][j]
-        off += k
+        for i, row in enumerate(b):
+            for l, v in enumerate(row):
+                if v:
+                    M[off + i][off + l] = v
+        off += len(b)
     return M
 
 
@@ -304,15 +272,13 @@ def _continued_fraction(terms, lam) -> complex:
 
 # -- moments ----------------------------------------------------------
 
-def moments_from_matrix(H: GJMatrix, G: GramMetric, count: int):
+def moments_from_matrix(H: GJMatrix, G: tuple, count: int):
     """Exact moments s_i = [H^i e, e] for i < count from the truncation.
 
     The finite matrix reproduces the operator moments for i <= 2*n_J - 1
     (the certified range of a J-term expansion), so count may not exceed
     2*n_J.
     """
-    from .moments import MomentSequence
-
     n_total = H.dim()
     if count > 2 * n_total:
         raise TruncationTooShallow(
@@ -323,7 +289,7 @@ def moments_from_matrix(H: GJMatrix, G: GramMetric, count: int):
     K = [[c.as_integer_ratio() for c in row] for row in H.exact_scaled()]
     D = math.lcm(*(d for row in K for _, d in row))
     rows = [[(l, c * (D // d)) for l, (c, d) in enumerate(row) if c] for row in K]
-    g, g_den = _clear(G.blocks[0][0])
+    g, g_den = _clear(G[0][0])
     v = [1] + [0] * (n_total - 1)
     out = []
     for _ in range(count):

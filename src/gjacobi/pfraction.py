@@ -19,6 +19,7 @@ from .errors import (AllZero, DegreeCapExceeded, EmptyPFraction,
                      InsufficientMoments, OpenCoupling, OutOfRange)
 from .moments import MomentSequence, normalize, parse_scalar, _scalar_str
 from .poly import Polynomial, _is_exact, _mul
+from .polyrec import generate
 from .series import laurent_coeffs, series_div
 
 STATUS_OPEN = "open"
@@ -201,8 +202,6 @@ def to_moments(pf: PFraction, count: int) -> MomentSequence:
     its exact rational values and rounded once at the end: the expanded
     Phat_J, Qhat_J would lose their digits to cancellation in floats.
     """
-    from .polyrec import generate
-
     if len(pf) == 0:
         raise EmptyPFraction("P-fraction has no terms")
     if count < 1:

@@ -13,10 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import NotEnoughTerms, OutOfRange
-from .pfraction import PFraction
 from .poly import Polynomial, poly_gcd
+
+if TYPE_CHECKING:  # pfraction imports generate from this module
+    from .pfraction import PFraction
 
 
 @dataclass(frozen=True)
@@ -32,9 +35,9 @@ class OrthoSequences:
     def j_max(self):
         return len(self.Phat) - 1
 
-    def check_range(self, j, *, lo=0):
-        if not lo <= j <= self.j_max:
-            raise OutOfRange(f"j={j} outside generated range [{lo}, {self.j_max}]")
+    def check_range(self, j):
+        if not 0 <= j <= self.j_max:
+            raise OutOfRange(f"j={j} outside generated range [0, {self.j_max}]")
 
 
 def generate(pf: PFraction, j_max: int) -> OrthoSequences:

@@ -332,5 +332,15 @@ def test_float_flag(float_catalan_file, tmp_path, capsys):
     assert len(out.read_text().strip().split("\n")) == 7
 
 
+def test_repeated_calls_share_no_options(float_catalan_file, tmp_path, capsys):
+    # one parser serves every call in a process: no option may carry over
+    out = tmp_path / "pf.json"
+    assert main(["--float", "--out", str(out), "expand", float_catalan_file]) == 0
+    assert '"b_squared": "1.0"' in out.read_text()
+    capsys.readouterr()
+    assert main(["expand", float_catalan_file]) == 0
+    assert '"b_squared": "1"' in capsys.readouterr().out
+
+
 def test_tol_validation(catalan_file):
     assert main(["--tol", "-1", "expand", catalan_file]) == 2

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -68,7 +70,7 @@ def test_symmetrizer_identity_random(rng):
 
 
 def test_dense_float_is_upper_hessenberg():
-    H = gm.assemble(random_pfraction(__import__("random").Random(5), 4))
+    H = gm.assemble(random_pfraction(random.Random(5), 4))
     A = H.dense_float()
     n = A.shape[0]
     for i in range(n):
@@ -115,10 +117,41 @@ def test_symmetry_defect_exact_zero_and_float_small(rng):
     last = H.blocks[3].size
     xv = [F(rng.randint(-3, 3)) for _ in range(dim - last)]
     yv = [F(rng.randint(-3, 3)) for _ in range(dim - last)]
-    assert gm.symmetry_defect(H, G, 4, xv, yv) == 0
+    assert gm.symmetry_defect(H, G, 4, xv, yv) == 0  # G = H.gram()
     xf = [rng.uniform(-1, 1) for _ in range(dim - last)]
     yf = [rng.uniform(-1, 1) for _ in range(dim - last)]
     assert gm.symmetry_defect(H, G, 4, xf, yf) <= 1e-9
+
+
+def test_symmetry_defect_exact_branch_reads_its_metric():
+    # a metric that is not H's own: both branches must see the flipped block
+    H = gm.assemble(random_pfraction(random.Random(3), 5))
+    G = list(H.gram())
+    G[1] = tuple(tuple(-v for v in row) for row in G[1])
+    d = H.dim(4) - H.blocks[3].size
+    xv, yv = [F(1)] * d, [F(i) for i in range(d)]
+    assert gm.symmetry_defect(H, H.gram(), 4, xv, yv) == 0
+    assert gm.symmetry_defect(H, G, 4, xv, yv) != 0
+    assert gm.symmetry_defect(H, G, 4, [float(v) for v in xv],
+                              [float(v) for v in yv]) > 1.0
+
+
+def test_dense_float_is_similar_to_exact_scaled(rng):
+    # K = D H D^{-1} with D constant on block j, equal to b_0...b_{j-1}
+    sizes, signs = set(), set()
+    for trial in range(8):
+        pf = random_pfraction(rng, 5, last_open=trial % 2 == 1)
+        H = gm.assemble(pf)
+        sizes.update(b.size for b in H.blocks)
+        signs.update(t.epsilon for t in pf.terms)
+        for n in (None, 1, 2, 4):
+            blocks = H.blocks[:n]
+            d = np.repeat([math.prod(math.sqrt(pf[i].b_squared) for i in range(j))
+                           for j in range(len(blocks))], [b.size for b in blocks])
+            K = np.array(H.exact_scaled(n), dtype=float)
+            assert np.allclose(H.dense_float(n), K * d[None, :] / d[:, None],
+                               rtol=1e-13, atol=1e-13)
+    assert {1, 2, 3} <= sizes and signs == {1, -1}
 
 
 def test_symmetry_defect_rejects_wide_support():
