@@ -3,7 +3,10 @@
 Exact computations never materialize the irrational couplings b_j.  They use
 the diagonally rescaled matrix K (sub-corner entries b_j^2, super-corner
 entries eps_j*eps_{j+1}), which is similar to H block by block, so
-characteristic polynomials and the moments [H^i e, e] are unchanged.
+characteristic polynomials and the moments [H^i e, e] are unchanged.  K is
+held only as the integer matrix D*K, D the lcm of its denominators, in
+sparse rows (`_integer_k`): about three nonzeros per row, read by the
+charpoly, the moments and the exact symmetry defect.
 """
 
 from __future__ import annotations
@@ -13,15 +16,17 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (BadRange, EmptyPFraction, NotMonic, OutOfRange,
                      PoleAtLambda, SupportTooWide, TruncationTooShallow)
 from .moments import MomentSequence
-from .pfraction import PFraction
 from .poly import Polynomial, _clear
-from .series import series_div
+
+if TYPE_CHECKING:  # pfraction imports this module for to_moments
+    from .pfraction import PFraction
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,9 @@ def companion(p: Polynomial) -> CompanionBlock:
     # E = J*L with L unit lower-triangular Toeplitz, l_m = p_{k-m};
     # the first column y of L^{-1}, the series 1/sum_m l_m z^m, gives
     # E^{-1}[i][j] = y_{i+j-k+1}
-    y = series_div((1,), [Fraction(v) for v in reversed(c)], k)
+    y = [Fraction(1)]
+    for n in range(1, k):
+        y.append(-sum(c[k - m] * y[n - m] for m in range(1, n + 1)))
     E_inv = [[y[i + j - k + 1] if i + j - k + 1 >= 0 else Fraction(0)
               for j in range(k)] for i in range(k)]
     return CompanionBlock(p=p, C=tuple(map(tuple, C)), E=tuple(map(tuple, E)),
@@ -86,36 +93,21 @@ class GJMatrix:
     def dim(self, n_blocks=None):
         return sum(b.size for b in self.blocks[:n_blocks])
 
-    # -- dense views ---------------------------------------------------
+    # -- dense view ----------------------------------------------------
     def dense_float(self, n_blocks=None):
-        """Float truncation of H with b_j = sqrt(b_j^2)."""
-        def corners(t, t_next):
-            b = math.sqrt(float(t.b_squared))
-            return b, t.epsilon * t_next.epsilon * b
-
-        return self._layout(np.zeros((self.dim(n_blocks),) * 2), n_blocks, corners)
-
-    def exact_scaled(self, n_blocks=None):
-        """Exact matrix K = D H D^{-1}: sub-corners b_j^2, super-corners
-        eps_j*eps_{j+1} (similar to H, charpoly- and moment-preserving)."""
-        dim = self.dim(n_blocks)
-        return self._layout([[Fraction(0)] * dim for _ in range(dim)], n_blocks,
-                            lambda t, t_next: (Fraction(t.b_squared),
-                                               Fraction(t.epsilon * t_next.epsilon)))
-
-    def _layout(self, M, n_blocks, corners):
-        """Fill the zero matrix M with the first n_blocks C_{p_j} and the
-        corners (sub, super) = corners(t_j, t_{j+1}) of each coupling: sub at
-        the first row of block j+1, last column of block j; super at the
-        first row of block j, last column of block j+1."""
+        """Float truncation of H with b_j = sqrt(b_j^2): C_{p_j} on the
+        diagonal, b_j at the first row of block j+1, last column of block
+        j, and eps_j*eps_{j+1}*b_j at the first row of block j, last column
+        of block j+1."""
         blocks = self.blocks[:n_blocks]
-        _block_diag(M, [blk.C for blk in blocks])
+        M = _block_diag(np.zeros((self.dim(n_blocks),) * 2), [blk.C for blk in blocks])
         off = 0
         for j in range(len(blocks) - 1):
             k, k_next = blocks[j].size, blocks[j + 1].size
-            sub, sup = corners(self.source[j], self.source[j + 1])
-            M[off + k][off + k - 1] = sub
-            M[off][off + k + k_next - 1] = sup
+            t, t_next = self.source[j], self.source[j + 1]
+            b = math.sqrt(float(t.b_squared))
+            M[off + k][off + k - 1] = b
+            M[off][off + k + k_next - 1] = t.epsilon * t_next.epsilon * b
             off += k
         return M
 
@@ -157,15 +149,16 @@ def symmetry_defect(H: GJMatrix, G: tuple, trunc: int, x, y) -> float:
         raise SupportTooWide("support must stay one block away from the cut")
     exact = all(isinstance(v, (int, Fraction)) for v in x + y)
     if exact:
-        K = H.exact_scaled(trunc)
+        rows, D = _integer_k(H.source.terms[:trunc])
         prods = accumulate((Fraction(t.b_squared) for t in H.source.terms[:trunc - 1]),
                            operator.mul, initial=Fraction(1))
         Gd = _block_diag([[Fraction(0)] * dim for _ in range(dim)],
                          [[[v / prod for v in row] for row in blk]
                           for blk, prod in zip(G, prods)])
-        lhs = _dot(_matvec(Gd, _matvec(K, x)), y)
-        rhs = _dot(_matvec(Gd, x), _matvec(K, y))
-        return abs(lhs - rhs)
+        # D*[Kx, y] - D*[x, Ky], with D*K applied as it is stored
+        lhs = _dot(_matvec(Gd, _kvec(rows, x)), y)
+        rhs = _dot(_matvec(Gd, x), _kvec(rows, y))
+        return abs(lhs - rhs) / D
     Hf = H.dense_float(trunc)
     Gf = _block_diag(np.zeros((dim, dim)), G[:trunc])
     xv = np.asarray(x, dtype=complex)
@@ -193,43 +186,101 @@ def _dot(a, b):
     return sum(u * v for u, v in zip(a, b))
 
 
+# -- the integer matrix D*K -------------------------------------------
+
+def _integer_k(terms):
+    """D*K for the blocks of terms, D the lcm of K's denominators.
+
+    K has C_{p_j} on its diagonal blocks (ones below the diagonal, -p_j in
+    the last column), b_j^2 at the first row of block j+1, last column of
+    block j, and eps_j*eps_{j+1} at the first row of block j, last column of
+    block j+1; a last open coupling is not read.  Returns (rows, D): row i
+    of D*K as its three possible nonzeros (column, integer value) in column
+    order, the subdiagonal one, the block's last column and a super-corner,
+    with (0, 0) for each that is absent.
+    """
+    ps = [t.p.as_integer_ratio() for t in terms]
+    b2s = [t.b_squared.as_integer_ratio() for t in terms[:-1]]
+    D = math.lcm(*(d for _, d in ps), *(d for _, d in b2s))
+    rows, off = [], 0
+    for j, (t, (num, den)) in enumerate(zip(terms, ps)):
+        k, f = len(num) - 1, D // den
+        last = off + k - 1
+        for i in range(k):
+            if i:
+                sub = (off + i - 1, D)
+            elif j:
+                bn, bd = b2s[j - 1]
+                sub = (off - 1, bn * (D // bd))
+            else:
+                sub = (0, 0)
+            sup = (0, 0)
+            if not i and j + 1 < len(terms):
+                t_next = terms[j + 1]
+                sup = (last + t_next.degree, D * t.epsilon * t_next.epsilon)
+            rows.append((sub, (last, -num[i] * f), sup))
+        off += k
+    return rows, D
+
+
+def _kvec(rows, v):
+    """The rows of _integer_k times the vector v."""
+    return [a * v[la] + b * v[lb] + c * v[lc] for (la, a), (lb, b), (lc, c) in rows]
+
+
+def _krylov(rows, count):
+    """Yield v_i = B^i e_0 for i < count, B the upper Hessenberg matrix of
+    the rows of _integer_k.  v_i vanishes past index i, so a step forms
+    only the rows that can be nonzero."""
+    n = len(rows)
+    v = [1] + [0] * (n - 1)
+    for i in range(count):
+        yield v
+        m = min(i + 2, n)
+        v = _kvec(rows[:m], v) + v[m:]
+
+
 # -- characteristic polynomials ---------------------------------------
 
 def truncation_charpoly(H: GJMatrix, j_lo: int, j_hi: int) -> Polynomial:
     """Exact det(lambda - H_[j_lo, j_hi]) via the Hessenberg recursion."""
     if not 0 <= j_lo <= j_hi < H.n_blocks:
         raise BadRange(f"bad block range [{j_lo}, {j_hi}]")
-    K = H.exact_scaled(j_hi + 1)
-    off = H.dim(j_lo)
-    sub = [row[off:] for row in K[off:]]
-    return _hessenberg_charpoly(sub)
+    return _hessenberg_charpoly(*_integer_k(H.source.terms[j_lo:j_hi + 1]))
 
 
-def _hessenberg_charpoly(A):
-    """charpoly of an upper Hessenberg matrix with exact entries.
+def _hessenberg_charpoly(rows, D):
+    """charpoly of the upper Hessenberg matrix A = B/D, B given by its
+    integer sparse rows.
 
-    With D the lcm of the entries' denominators, B = D*A is an integer
-    matrix and det(x - A) = D^-n q(D x) for q = det(y - B).  The recursion
+    det(x - A) = D^-n q(D x) for q = det(y - B).  The recursion
     d_m = (y - B_{m-1,m-1}) d_{m-1} - sum_i B_{i,m-1} B_{i+1,i}...B_{m-1,m-2} d_i
-    runs on q's integer coefficient lists; one Polynomial is built at the end.
+    runs on q's integer coefficient lists, over the nonzeros of column m-1
+    only; one Polynomial is built at the end.
     """
-    n = len(A)
-    ratios = [[c.as_integer_ratio() for c in row] for row in A]
-    D = math.lcm(*(d for row in ratios for _, d in row))
-    B = [[v * (D // d) for v, d in row] for row in ratios]
+    n = len(rows)
+    cols = [[] for _ in range(n)]  # above-diagonal and diagonal nonzeros
+    sub = [0] * n  # sub[i] = B_{i+1,i}
+    for i, row in enumerate(rows):
+        for l, v in row:
+            if not v:
+                continue
+            if l == i - 1:
+                sub[l] = v
+            else:
+                cols[l].append((i, v))
     d = [[1]]
     for m in range(1, n + 1):
-        prev, a = d[m - 1], B[m - 1][m - 1]
-        term = [0] + prev  # y * d_{m-1}
-        for k, v in enumerate(prev):
-            term[k] -= a * v
-        prod = 1
-        for i in range(m - 2, -1, -1):
-            prod *= B[i + 1][i]
-            c = B[i][m - 1] * prod
+        term = [0] + d[m - 1]  # y * d_{m-1}
+        prod, t = 1, m - 1  # prod = B_{t+1,t} ... B_{m-1,m-2}
+        for i, v in reversed(cols[m - 1]):
+            while t > i:
+                t -= 1
+                prod *= sub[t]
+            c = v * prod
             if c:
-                for k, v in enumerate(d[i]):
-                    term[k] -= c * v
+                for k, w in enumerate(d[i]):
+                    term[k] -= c * w
         d.append(term)
     return Polynomial.from_integer_ratio([q * D ** k for k, q in enumerate(d[n])], D ** n)
 
@@ -284,17 +335,13 @@ def moments_from_matrix(H: GJMatrix, G: tuple, count: int):
         raise TruncationTooShallow(
             f"{H.n_blocks} blocks (dim {n_total}) certify only {2 * n_total} moments"
         )
-    # v_i = (D K)^i e in integers, D the lcm of K's denominators, so that
-    # s_i = [G_0 e, v_i] / D^i; the first row of G_0 is g / g_den
-    K = [[c.as_integer_ratio() for c in row] for row in H.exact_scaled()]
-    D = math.lcm(*(d for row in K for _, d in row))
-    rows = [[(l, c * (D // d)) for l, (c, d) in enumerate(row) if c] for row in K]
+    # v_i = (D K)^i e in integers, so that s_i = [G_0 e, v_i] / D^i; the
+    # first row of G_0 is g / g_den
+    rows, D = _integer_k(H.source.terms)
     g, g_den = _clear(G[0][0])
-    v = [1] + [0] * (n_total - 1)
     out = []
-    for _ in range(count):
-        out.append(Fraction(sum(a * b for a, b in zip(g, v)), g_den))
-        v = [sum(c * v[l] for l, c in row) for row in rows]
+    for v in _krylov(rows, count):
+        out.append(Fraction(_dot(g, v), g_den))
         g_den *= D
     return MomentSequence(tuple(out))
 

@@ -77,9 +77,20 @@ def _scalar_str(c):
 
 
 def parse_scalar(text, exact_parse=False):
-    """Parse "p/q" as Fraction; decimal strings give floats unless promoted."""
+    """Parse "p/q" as Fraction; decimal strings give floats unless promoted.
+
+    Integers and ratios of ASCII digits with an optional leading sign are
+    read by int() directly (a zero denominator raises ZeroDivisionError, as
+    Fraction(text) does); everything else goes to Fraction(text) or
+    float(text), so the accepted strings are exactly Fraction's.
+    """
     text = str(text).strip()
-    if "/" in text:
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("-", "+") else num
+    if (digits.isdigit() and digits.isascii()
+            and (not slash or den.isdigit() and den.isascii())):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    if slash:
         return Fraction(text)
     if ("." in text or "e" in text or "E" in text) and not exact_parse:
         return float(text)

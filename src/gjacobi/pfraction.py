@@ -5,7 +5,13 @@ polynomial with a sign), rescales the remainder so the next tail is again
 normalized, and accounts for the 2k moment coefficients the step consumed.
 The tail is kept as a pair of series num/den, not as one expanded series, so
 a step multiplies once instead of dividing the whole tail (Gragg, SIAM
-Review 14, 1972): O(depth * k) per step, O(N^2) for the expansion.
+Review 14, 1972): O(depth * k) per step, O(N^2) for the expansion.  Exact
+pairs are integer lists: the normalization fixes the pair's scale, so a
+step divides only by the content of its remainder.
+
+The way back reads the moments as s_i = [H^i e, e] of the generalized
+Jacobi matrix: `to_moments` iterates the integer matrix D*K of
+`gjmatrix` on a unit vector.
 """
 
 from __future__ import annotations
@@ -14,13 +20,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 
 from .errors import (AllZero, DegreeCapExceeded, EmptyPFraction,
                      InsufficientMoments, OpenCoupling, OutOfRange)
+from .gjmatrix import _integer_k, _krylov
 from .moments import MomentSequence, normalize, parse_scalar, _scalar_str
-from .poly import Polynomial, _is_exact, _mul
-from .polyrec import generate
-from .series import laurent_coeffs, series_div
+from .poly import Polynomial, _clear
 
 STATUS_OPEN = "open"
 STATUS_TERMINATED = "terminated"
@@ -115,14 +121,19 @@ class PFraction:
 
 
 def expand_step(num, den):
-    """One P-fraction step on a tail held as the series quotient num/den.
+    """One P-fraction step on a normalized tail held as a pair num/den.
 
-    num and den are coefficient sequences, low to high, with den[0] != 0;
-    the tail's depth is len(num), and num's zeros before its first nonzero
-    entry are exact.  A normalized tail t is the pair (t.coeffs, (1,)).
-    Returns (term, next_pair); next_pair is None when the depth leaves no
-    coefficients for the remainder.  A term whose remainder vanishes
-    through the known depth carries b_squared None and a zero remainder.
+    num and den are coefficient sequences, low to high, with den[0] != 0:
+    integers for exact data, floats otherwise.  The pair holds the tail up
+    to a positive factor, which the normalization fixes: the tail's first
+    nonzero coefficient is +-1, so with num[i0] the first nonzero entry of
+    num the tail is |den[0] / num[i0]| * num/den.  An exact normalized tail
+    t is held by (the integer numerators of t.coeffs, (1,)), a float one by
+    (t.coeffs, (1,)).  The tail's depth is len(num), and num's zeros before
+    i0 are exact.  Returns (term, next_pair); next_pair is None when the
+    depth leaves no coefficients for the remainder.  A term whose remainder
+    vanishes through the known depth carries b_squared None and a zero
+    remainder.
     """
     i0 = next((i for i, c in enumerate(num) if c), None)
     if i0 is None:
@@ -133,40 +144,79 @@ def expand_step(num, den):
         raise InsufficientMoments(
             f"block degree {k} needs depth {2 * k}, have {depth}"
         )
-    eps = 1 if num[i0] / den[0] > 0 else -1
-    # -1/phi = lambda^k * V(1/lambda) with V = den/a, a(z) = sum num_{k-1+i} z^i
     a = num[i0:]
-    v = series_div(den[:k + 1], a, k + 1)
-    p = Polynomial([v[k - m] / v[0] for m in range(k + 1)])
-    # R = den - (v_0 + ... + v_k z^k) a vanishes through z^k, and R/a is
-    # the rest of V: the remainder is -r/a with r = R_{k+1}, R_{k+2}, ...
-    va = _mul(v, a)
+    a0, d0 = a[0], den[0]
+    eps = 1 if (a0 > 0) == (d0 > 0) else -1
+    # -1/phi = lambda^k * V(1/lambda) up to the tail's factor, V = den/a with
+    # a(z) = sum num_{k-1+i} z^i.  Its first k+1 terms, u = a0^(k+1) V
+    # through z^k, come from w_j = a0^(j+1) V_j by division-free recursion.
+    pw = [a0 ** j for j in range(k + 2)]
+    w = []
+    for j in range(k + 1):
+        acc = den[j] * pw[j] if j < len(den) else 0
+        for i in range(1, j + 1):
+            acc -= a[i] * w[j - i] * pw[i - 1]
+        w.append(acc)
+    top = pw[k + 1]
+    u = [wj * pw[k - j] for j, wj in enumerate(w)]
+    if isinstance(a0, int):
+        # V's terms are small (the block's coefficients up to scale), so
+        # u = top V narrows to V over the least denominator top
+        g = gcd(top, *u)
+        top, u = top // g, [c // g for c in u]
+    p = Polynomial(u[::-1]).monic()
+    # top R = top den - u a vanishes through z^k, and R/a is the rest of V:
+    # the remainder is -r/a with r = R_{k+1}, R_{k+2}, ...
     d = list(den[k + 1:depth - k + 1])
     d += [0] * (depth - 2 * k - len(d))
-    r = [dj - va[j] for j, dj in enumerate(d, k + 1)]
-    if _is_exact(a) and _is_exact(den):
+    r = _remainder(top, d, u, a)
+    if isinstance(a0, int):
         nz = next((j for j, c in enumerate(r) if c), None)
     else:
         # R_j is zero within rounding of the magnitudes that cancelled in it
-        mag = _mul([abs(c) for c in v], [abs(c) for c in a])
-        nz = next((j for j, c in enumerate(r)
-                   if abs(c) > 1e-12 * (abs(d[j]) + mag[k + 1 + j])), None)
+        mag = _remainder(abs(top), [abs(c) for c in d], [-abs(c) for c in u],
+                         [abs(c) for c in a])
+        nz = next((j for j, c in enumerate(r) if abs(c) > 1e-12 * mag[j]), None)
     if nz is None:
         term = PFractionTerm(eps, None, p)
         next_pair = (tuple(-c for c in r), a[:len(r)]) if r else None
         return term, next_pair
-    b2 = abs(r[nz] / a[0])
-    # the next tail is -r/(b2 a); dividing r keeps |den[0]| at 1
-    next_num = (0,) * nz + tuple(-c / b2 for c in r[nz:])
-    return PFractionTerm(eps, b2, p), (next_num, a[:len(r)])
+    # the tail's factor is |d0 / a0|, so b2 = |r_nz / (top d0)|: exact for
+    # integers, the float quotient for floats
+    b2 = Fraction(abs(r[nz])) / abs(top * d0)
+    # the next tail, -r/(b2 a), is |a0 / r_nz| * (-sign(top) r)/a; r's common
+    # factor comes out: its content for integers, |r_nz| for floats, which
+    # keeps the next a0 at +-1
+    r = r[nz:]
+    g = gcd(*r) if isinstance(a0, int) else abs(r[0])
+    g = g if top < 0 else -g
+    rest = [c // g for c in r] if isinstance(a0, int) else [c / g for c in r]
+    return PFractionTerm(eps, b2, p), ((0,) * nz + tuple(rest), a[:nz + len(r)])
+
+
+def _remainder(top, d, u, a):
+    """top * d_j - sum_i u_i a_{k+1+j-i} for j < len(d), k = len(u) - 1: the
+    coefficients k+1, k+2, ... of top * den - u * a.  u is short, so a
+    pass over a per term of u beats one packed product."""
+    n, k = len(d), len(u) - 1
+    r = [top * c for c in d]
+    for i, ui in enumerate(u):
+        if ui:
+            r = [c - ui * ac for c, ac in zip(r, a[k + 1 - i:k + 1 - i + n])]
+    return r
 
 
 def expand(s: MomentSequence, max_terms: int, degree_cap: int) -> PFraction:
     """Expand a moment sequence into at most max_terms P-fraction terms."""
     tail = normalize(s)
     i0 = tail.first_nonzero()
-    # entries the zero test drops become exact zeros of the first pair
-    pair = ((0,) * i0 + tail.coeffs[i0:], (1,))
+    # entries the zero test drops become exact zeros of the first pair; an
+    # exact tail is held by its integer numerators, the pair's scale being
+    # fixed by the normalization
+    head = tail.coeffs[i0:]
+    if tail.is_exact:
+        head = _clear(head)[0]
+    pair = ((0,) * i0 + tuple(head), (1,))
     terms = []
     status = STATUS_OPEN
     while len(terms) < max_terms:
@@ -193,14 +243,18 @@ def expand(s: MomentSequence, max_terms: int, degree_cap: int) -> PFraction:
 
 
 def to_moments(pf: PFraction, count: int) -> MomentSequence:
-    """Laurent coefficients at infinity of Qhat_J/Phat_J, the composed fraction.
+    """Moments s_i = [H^i e, e], i < count, of the truncation H_J.
 
-    Indices below 2*n_J (J terms, n_J = sum of block degrees) are certified;
-    for a terminated fraction every coefficient is exact.  A j-term prefix
-    already reproduces the series through index 2*n_j - 1, so only the
-    shortest prefix with 2*n_j >= count is recurred.  Float data is run on
-    its exact rational values and rounded once at the end: the expanded
-    Phat_J, Qhat_J would lose their digits to cancellation in floats.
+    H_J is the generalized Jacobi matrix of a J-term prefix; its m-function
+    is -Qhat_J/Phat_J, so these are the Laurent coefficients at infinity of
+    Qhat_J/Phat_J at every index.  Indices below 2*n_J (J terms, n_J = sum
+    of block degrees) are certified; for a terminated fraction every
+    coefficient is exact.  A j-term prefix already reproduces the series
+    through index 2*n_j - 1, so only the shortest prefix with
+    2*n_j >= count is iterated.  The iteration v <- (D*K) v runs in
+    integers (gjmatrix._integer_k), and s_i = eps_0 * v_i[k_0 - 1] / D^i,
+    since the first row of the metric block G_0 is eps_0 e_{k_0-1}.  Float
+    data is run on its exact rational values and rounded once at the end.
     """
     if len(pf) == 0:
         raise EmptyPFraction("P-fraction has no terms")
@@ -211,13 +265,13 @@ def to_moments(pf: PFraction, count: int) -> MomentSequence:
     terms = pf.terms[:J]
     exact = all(t.p.is_exact and isinstance(t.b_squared or 0, (int, Fraction))
                 for t in terms)
-    if not exact:
-        terms = tuple(PFractionTerm(
-            t.epsilon, None if t.b_squared is None else Fraction(t.b_squared),
-            Polynomial.from_integer_ratio(*t.p.as_integer_ratio())) for t in terms)
-    seqs = generate(PFraction(terms), J)
-    moments = laurent_coeffs(seqs.Qhat[J], seqs.Phat[J], count)
+    rows, D = _integer_k(terms)
+    eps0, at = terms[0].epsilon, terms[0].degree - 1
     ring = Fraction if exact else float
+    moments, den = [], 1
+    for v in _krylov(rows, count):
+        c = eps0 * v[at]
+        moments.append(Fraction(c, den) if exact else c / den)
+        den *= D
     certified = None if pf.status == STATUS_TERMINATED else 2 * pf.normal_index(len(pf)) - 1
-    return MomentSequence(tuple(ring(c) for c in moments), scale=ring(1),
-                          certified_up_to=certified)
+    return MomentSequence(tuple(moments), scale=ring(1), certified_up_to=certified)

@@ -277,10 +277,8 @@ def _primitive(ints):
 
 
 def _mul(a, b):
-    """Product of two coefficient sequences: exact by _kronecker_mul, else
-    schoolbook in float arithmetic."""
-    if _is_exact(a) and _is_exact(b):
-        return _kronecker_mul(a, b)
+    """Schoolbook product of two coefficient sequences, for float data (exact
+    products go through _int_mul)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
@@ -288,15 +286,6 @@ def _mul(a, b):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return out
-
-
-def _kronecker_mul(a, b):
-    """Exact product of two rational sequences as Fractions, by _int_mul on
-    their integer numerators over one denominator each."""
-    ia, da = _clear(a)
-    ib, db = _clear(b)
-    den = da * db
-    return [Fraction(c, den) for c in _int_mul(ia, ib)]
 
 
 def _int_mul(a, b):

@@ -1,0 +1,114 @@
+"""Reference routines the tests compare the program against.
+
+Plain coefficient-list arithmetic over Fractions (or floats), written for
+clarity: long division of series, where the program iterates integer
+matrices and integer remainder pairs.
+"""
+
+from fractions import Fraction
+
+from gjacobi.errors import AllZero, InsufficientMoments
+from gjacobi.moments import normalize
+from gjacobi.pfraction import PFraction, PFractionTerm
+from gjacobi.poly import Polynomial
+from gjacobi.polyrec import generate
+
+
+def series_div(num, den, n):
+    """First n coefficients of num/den by long division; needs den[0] != 0.
+
+    y_k = -(den_1 y_{k-1} + ... + den_k y_0 - num_k) / den_0.
+    """
+    if not den or not den[0]:
+        raise ZeroDivisionError("series has no quotient: constant term of den is zero")
+    inv0 = 1 / den[0]
+    y = []
+    for k in range(n):
+        acc = 0
+        for i in range(1, min(k, len(den) - 1) + 1):
+            if den[i]:
+                acc += den[i] * y[k - i]
+        if k < len(num) and num[k]:
+            acc -= num[k]
+        y.append(-acc * inv0)
+    return y
+
+
+def laurent_coeffs(num, den, count):
+    """Coefficients c_i of num/den = sum c_i lambda^{-(i+1)} at infinity.
+
+    num and den are Polynomials with deg num < deg den.  With z = 1/lambda
+    this is the power series of the reversed coefficients,
+    z^(n-1) num(1/z) / z^n den(1/z).
+    """
+    n = den.degree
+    if num.degree >= n:
+        raise ValueError("series at infinity needs deg num < deg den")
+    nz = [0] * (n - 1 - num.degree) + list(reversed(num.coeffs))
+    return series_div(nz, den.coeffs[::-1], count)
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def fraction_expand_step(num, den):
+    """One expansion step on a tail that is exactly the series num/den,
+    in Fraction arithmetic (exact data only): the polynomial part of
+    -1/tail by series division, the remainder rescaled to a normalized tail.
+    """
+    i0 = next((i for i, c in enumerate(num) if c), None)
+    if i0 is None:
+        raise AllZero("tail is identically zero")
+    k = i0 + 1
+    depth = len(num)
+    if depth < 2 * k:
+        raise InsufficientMoments(f"block degree {k} needs depth {2 * k}, have {depth}")
+    eps = 1 if num[i0] / den[0] > 0 else -1
+    a = num[i0:]
+    v = series_div(den[:k + 1], a, k + 1)
+    p = Polynomial([v[k - m] / v[0] for m in range(k + 1)])
+    va = _schoolbook(v, a)
+    d = list(den[k + 1:depth - k + 1])
+    d += [0] * (depth - 2 * k - len(d))
+    r = [dj - va[j] for j, dj in enumerate(d, k + 1)]
+    nz = next((j for j, c in enumerate(r) if c), None)
+    if nz is None:
+        return PFractionTerm(eps, None, p), ((tuple(-c for c in r), a[:len(r)]) if r else None)
+    b2 = abs(r[nz] / a[0])
+    next_num = (0,) * nz + tuple(-c / b2 for c in r[nz:])
+    return PFractionTerm(eps, b2, p), (next_num, a[:len(r)])
+
+
+def fraction_expand(s, max_terms):
+    """The expansion loop of `expand` on fraction_expand_step, without its
+    degree cap."""
+    tail = normalize(s)
+    i0 = tail.first_nonzero()
+    pair = ((0,) * i0 + tail.coeffs[i0:], (1,))
+    terms, status = [], "open"
+    while len(terms) < max_terms:
+        num = pair[0]
+        k = next(i for i, c in enumerate(num) if c) + 1
+        if len(num) < 2 * k:
+            status = "exhausted"
+            break
+        term, pair = fraction_expand_step(*pair)
+        terms.append(term)
+        if term.b_squared is None:
+            rem_depth = 0 if pair is None else len(pair[0])
+            status = "terminated" if rem_depth >= 2 else "exhausted"
+            break
+    return PFraction(tuple(terms), status=status)
+
+
+def laurent_moments(pf, count):
+    """Laurent coefficients of Qhat_J/Phat_J, J = len(pf), by series division
+    of the recurrence polynomials, as Fractions."""
+    J = len(pf)
+    seqs = generate(pf, J)
+    return tuple(Fraction(c) for c in laurent_coeffs(seqs.Qhat[J], seqs.Phat[J], count))

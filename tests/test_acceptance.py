@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import catalan_pfraction, example64_pfraction, random_pfraction
+from oracles import laurent_moments
 from test_pade import _hankel_pade_oracle
 from gjacobi import gjmatrix as gm
 from gjacobi import pade, periodic, polyrec, spectral
@@ -151,13 +152,16 @@ def test_criterion_6_resolvent_certificates():
 
 def test_criterion_7_round_trips():
     # moments -> expansion -> matrix -> moments is the identity on the
-    # certified range, and expansion inverts series reconstruction termwise
+    # certified range, and expansion inverts series reconstruction termwise;
+    # to_moments and the matrix share one iteration, so the moments are
+    # checked against the Laurent series of generate's Qhat_J/Phat_J
     rng = random.Random(77)
     ok = True
     for _ in range(25):
         pf = random_pfraction(rng, 4, last_open=True)
         n_last = pf.normal_index(len(pf))
         s = to_moments(pf, 2 * n_last + 2)
+        ok = ok and s.coeffs == laurent_moments(pf, 2 * n_last + 2)
         pf2 = expand(s, len(pf) + 2, 3)
         ok = ok and pf2.terms == pf.terms
         H = gm.assemble(pf2)

@@ -36,6 +36,16 @@ def _charpoly_oracle(A):
     return total
 
 
+def _dense(rows, D):
+    """The matrix of integer sparse rows over D, as dense Fractions."""
+    A = [[F(0)] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for l, v in row:
+            if v:
+                A[i][l] = F(v, D)
+    return A
+
+
 def test_companion_shape_and_symmetrizer():
     blk = gm.companion(x * x * x + 2 * x - 1)
     assert blk.size == 3
@@ -92,9 +102,11 @@ def test_exact_scaled_shares_charpoly_with_float():
 def test_hessenberg_charpoly_matches_leibniz(rng):
     for _ in range(6):
         n = rng.randint(1, 5)
-        A = [[F(rng.randint(-3, 3)) if i <= j + 1 else F(0)
+        A = [[F(rng.randint(-3, 3), rng.choice([1, 2, 3])) if i <= j + 1 else F(0)
               for j in range(n)] for i in range(n)]
-        assert gm._hessenberg_charpoly(A) == _charpoly_oracle(A)
+        D = math.lcm(*(v.denominator for row in A for v in row))
+        rows = [[(l, int(v * D)) for l, v in enumerate(row) if v] for row in A]
+        assert gm._hessenberg_charpoly(rows, D) == _charpoly_oracle(A)
 
 
 def test_truncation_charpoly_equals_phat_and_qhat(rng):
@@ -137,7 +149,8 @@ def test_symmetry_defect_exact_branch_reads_its_metric():
 
 
 def test_dense_float_is_similar_to_exact_scaled(rng):
-    # K = D H D^{-1} with D constant on block j, equal to b_0...b_{j-1}
+    # K = D H D^{-1} with D constant on block j, equal to b_0...b_{j-1};
+    # K is read from its integer sparse rows
     sizes, signs = set(), set()
     for trial in range(8):
         pf = random_pfraction(rng, 5, last_open=trial % 2 == 1)
@@ -148,7 +161,7 @@ def test_dense_float_is_similar_to_exact_scaled(rng):
             blocks = H.blocks[:n]
             d = np.repeat([math.prod(math.sqrt(pf[i].b_squared) for i in range(j))
                            for j in range(len(blocks))], [b.size for b in blocks])
-            K = np.array(H.exact_scaled(n), dtype=float)
+            K = np.array(_dense(*gm._integer_k(pf.terms[:n])), dtype=float)
             assert np.allclose(H.dense_float(n), K * d[None, :] / d[:, None],
                                rtol=1e-13, atol=1e-13)
     assert {1, 2, 3} <= sizes and signs == {1, -1}

@@ -127,6 +127,51 @@ def test_parse_scalar():
     assert parse_scalar("0.5", exact_parse=True) == F(1, 2)
 
 
+def _parse_reference(text, exact_parse):
+    """parse_scalar without its integer fast path: Fraction(text) decides."""
+    text = str(text).strip()
+    if "/" in text:
+        return Fraction(text)
+    if ("." in text or "e" in text or "E" in text) and not exact_parse:
+        return float(text)
+    return Fraction(text)
+
+
+def _outcome(parse, text, exact_parse):
+    try:
+        value = parse(text, exact_parse)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        return type(exc)
+    return type(value), value
+
+
+PARSE_CASES = [
+    "3", "-2", "+7", "0", "-0", "007", " 3/4 ", "\t-3/4\n", "+3/4", "-0/5",
+    "12345678901234567890/3", "3/-4", "3/+4", "3 / 4", "3/ 4", "3 /4", "- 3",
+    "1/0", "0/0", "-1/00", "1_000", "1_000/3", "3/1_0", "_1", "1__0", "1e3",
+    "1E3", "1e-3", "1.5", "-1.5", ".5", "5.", "1.5/2", "1/2/3", "", " ", "-",
+    "+", "/", "3/", "/4", "--1", "+-1", "0x10", "inf", "nan", "True", "1 2",
+    "\u0661\u0662", "\u0661/\u0662", "\u00b2", 3, -4, 0.5, True,
+]
+
+
+@pytest.mark.parametrize("exact_parse", [False, True])
+def test_parse_scalar_accepts_exactly_what_fraction_does(exact_parse):
+    # the integer fast path returns what Fraction(text) returns, raises as
+    # it does on a zero denominator, and leaves every other string
+    # (underscores, inner spaces, non-ASCII digits, decimals) to Fraction or
+    # float, whichever this Python's Fraction accepts
+    for text in PARSE_CASES:
+        assert (_outcome(parse_scalar, text, exact_parse)
+                == _outcome(_parse_reference, text, exact_parse)), text
+
+
+@given(st.text(alphabet="0123456789+-/_. eE\t", max_size=8), st.booleans())
+def test_parse_scalar_matches_fraction_on_random_strings(text, exact_parse):
+    assert (_outcome(parse_scalar, text, exact_parse)
+            == _outcome(_parse_reference, text, exact_parse))
+
+
 @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4),
                 min_size=1, max_size=8))
 def test_normalize_idempotent(coeffs):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import catalan_pfraction, random_pfraction
+from oracles import laurent_coeffs
 from gjacobi import gjmatrix as gm
 from gjacobi import pade, polyrec
 from gjacobi.errors import InsufficientMoments, OutOfRange, PoleAtLambda
 from gjacobi.moments import MomentSequence
 from gjacobi.pfraction import to_moments
 from gjacobi.poly import Polynomial
-from gjacobi.series import laurent_coeffs
 
 F = Fraction
 x = Polynomial.x()

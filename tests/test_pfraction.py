@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import catalan_pfraction, random_pfraction
+from oracles import fraction_expand, laurent_moments, series_div
 from gjacobi import gjmatrix as gm
 from gjacobi.errors import (AllZero, DegreeCapExceeded, InsufficientMoments,
                             OpenCoupling)
@@ -14,7 +15,6 @@ from gjacobi.moments import MomentSequence
 from gjacobi.pfraction import (PFraction, PFractionTerm, expand, expand_step,
                                to_moments)
 from gjacobi.poly import Polynomial
-from gjacobi.series import series_div
 
 F = Fraction
 x = Polynomial.x()
@@ -49,8 +49,8 @@ def test_expand_degenerate_composite():
 
 
 def test_expand_step_consumes_2k_coefficients():
-    s = MomentSequence(tuple(F(v) for v in (0, 1, 0, 0, 1, 0, 0, 1)))
-    term, (tail, _) = expand_step(s.coeffs, (1,))
+    s = (0, 1, 0, 0, 1, 0, 0, 1)
+    term, (tail, _) = expand_step(s, (1,))
     assert term.degree == 2
     assert len(tail) == len(s) - 2 * term.degree
 
@@ -79,21 +79,23 @@ def test_expand_errors():
     with pytest.raises(DegreeCapExceeded):
         expand(MomentSequence(tuple(F(v) for v in (0, 0, 1, 0, 0, 0))), 4, 2)
     with pytest.raises(InsufficientMoments):
-        expand_step((F(0), F(1), F(0)), (1,))
+        expand_step((0, 1, 0), (1,))
 
 
 def test_expand_step_reciprocal_matches_naive_oracle():
-    s = MomentSequence(tuple(F(v) for v in (1, 2, -1, 3, 0, 1)))
-    term, (num, den) = expand_step(s.coeffs, (1,))
-    u = [s[i] for i in range(len(s))]
-    v = _naive_reciprocal(u, len(u))
+    s = (1, 2, -1, 3, 0, 1)
+    term, (num, den) = expand_step(s, (1,))
+    v = _naive_reciprocal([F(c) for c in s], len(s))
     # k = 1: p = eps * v_1..v_0? block is (v_0-scaled); check remainder line
     assert term.p.coeffs[-1] == 1
     rem = [-v[2 + j] for j in range(len(s) - 2)]
     first = next(r for r in rem if r != 0)
     assert term.b_squared == abs(first)
-    # the next pair's series is the remainder rescaled by b^2
-    assert series_div(num, den, len(rem)) == [r / term.b_squared for r in rem]
+    # the next pair's series, times the factor |den[0] / num[i0]| that
+    # normalizes it, is the remainder rescaled by b^2
+    factor = abs(F(den[0], next(c for c in num if c)))
+    got = series_div([F(c) for c in num], [F(c) for c in den], len(rem))
+    assert [factor * c for c in got] == [r / term.b_squared for r in rem]
 
 
 def test_to_moments_roundtrip_certified_prefix(rng):
@@ -135,15 +137,40 @@ def test_expand_recovers_the_generating_terms(seed, n_terms, tenth):
 
 
 def test_to_moments_matches_matrix_moments(rng):
-    # the series of Qhat_J/Phat_J against [H^i e, e] of the assembled matrix,
-    # for every count up to 2*n_J: small counts recur only a short prefix
+    # to_moments and [H^i e, e] of the assembled matrix against the Laurent
+    # series of generate's Qhat_J/Phat_J, for every count up to 2*n_J: small
+    # counts iterate only a short prefix
     for i in range(12):
         pf = random_pfraction(rng, rng.randint(1, 9), last_open=i % 3 == 0)
         n_J = pf.normal_index(len(pf))
         H = gm.assemble(pf)
-        want = gm.moments_from_matrix(H, H.gram(), 2 * n_J).coeffs
+        want = laurent_moments(pf, 2 * n_J)
+        assert gm.moments_from_matrix(H, H.gram(), 2 * n_J).coeffs == want
         for c in range(1, 2 * n_J + 1):
             assert to_moments(pf, c).coeffs == want[:c]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_terms=st.integers(1, 12),
+       kind=st.sampled_from(["open", "last_open", "terminated"]),
+       zeros=st.integers(0, 2))
+def test_integer_pipeline_matches_fraction_oracles(seed, n_terms, kind, zeros):
+    # to_moments against the Laurent series of Qhat_J/Phat_J at every count
+    # through 2*n_J + 4, and expand against the Fraction expansion step, on
+    # open, last-open and terminated fractions and on moments shifted by
+    # leading zeros
+    pf = random_pfraction(random.Random(seed), n_terms, last_open=kind != "open")
+    if kind == "terminated":
+        pf = PFraction(pf.terms, status="terminated")
+    n_J = pf.normal_index(len(pf))
+    want = laurent_moments(pf, 2 * n_J + 4 + 2 * zeros)
+    for c in range(1, 2 * n_J + 5):
+        assert to_moments(pf, c).coeffs == want[:c]
+    # each leading zero raises the first block's degree, and its depth
+    count = 2 * n_J + (4 if kind == "terminated" else 0) + 2 * zeros
+    s = MomentSequence((0,) * zeros + want[:count])
+    got, ref = expand(s, len(pf) + 2, 12), fraction_expand(s, len(pf) + 2)
+    assert got.terms == ref.terms and got.status == ref.status
 
 
 def test_to_moments_float_data_rounds_exact_values():
