@@ -30,6 +30,7 @@ EXIT_PARSE = 2
 EXIT_DATA = 3
 EXIT_POLE = 4
 EXIT_PERIOD = 5
+WRITE_CHUNK = 1 << 20  # characters per write of an --out file
 
 
 class CliError(Exception):
@@ -117,7 +118,9 @@ def _write(path, text):
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            # a slice at a time: encoding the whole text would copy it at once
+            for i in range(0, len(text), WRITE_CHUNK):
+                fh.write(text[i:i + WRITE_CHUNK])
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"cannot write {path}: {exc}")
 
@@ -191,10 +194,11 @@ def cmd_spectrum(args):
     region = _parse_region(args.region)
     nx, ny = _parse_grid(args.grid)
     sc = periodic.scan(mono, pg, region, nx, ny, args.tol)
+    summary = sc.summary_json()
     if args.out:
         _write(args.out, sc.to_csv())
-        _write(args.out + ".summary.json", sc.summary_json())
-    print(sc.summary_json())
+        _write(args.out + ".summary.json", summary)
+    print(summary)
     return EXIT_OK
 
 

@@ -79,6 +79,16 @@ def _scalar_str(c):
 def parse_scalar(text, exact_parse=False):
     """Parse "p/q" as Fraction; decimal strings give floats unless promoted.
 
+    The accepted strings are exactly Fraction's (see parse_ratio).
+    """
+    value = parse_ratio(text, exact_parse)
+    return Fraction(*value) if isinstance(value, tuple) else value
+
+
+def parse_ratio(text, exact_parse=False):
+    """parse_scalar's value: an exact one as an integer pair (num, den), den
+    > 0 and the pair not necessarily reduced, a float as the float.
+
     Integers and ratios of ASCII digits with an optional leading sign are
     read by int() directly (a zero denominator raises ZeroDivisionError, as
     Fraction(text) does); everything else goes to Fraction(text) or
@@ -89,12 +99,13 @@ def parse_scalar(text, exact_parse=False):
     digits = num[1:] if num[:1] in ("-", "+") else num
     if (digits.isdigit() and digits.isascii()
             and (not slash or den.isdigit() and den.isascii())):
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    if slash:
-        return Fraction(text)
-    if ("." in text or "e" in text or "E" in text) and not exact_parse:
+        n, d = int(num), int(den) if slash else 1
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        return n, d
+    if not slash and ("." in text or "e" in text or "E" in text) and not exact_parse:
         return float(text)
-    return Fraction(text)
+    return Fraction(text).as_integer_ratio()
 
 
 def hankel_det(s: MomentSequence, n: int):

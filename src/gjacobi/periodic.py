@@ -22,6 +22,7 @@ LABEL_EP = "E_p"
 # relative rounding margin by which |w11| must exceed |w22| at a root of
 # P_{s-1} for the root to count as an eigenvalue
 EP_MARGIN = 1e-9
+CSV_BLOCK = 8192  # rows assembled per step of SpectrumScan.to_csv
 
 
 @dataclass(frozen=True)
@@ -145,17 +146,23 @@ class SpectrumScan:
     ep_points: tuple     # roots of P_{s-1} in the region that pass the modulus test
 
     def to_csv(self):
-        lines = ["re,im,label,trace_re,trace_im,w1_abs,w2_abs"]
-        for r in range(self.ny):
-            for c in range(self.nx):
-                z = self.points[r, c]
-                t = self.trace_values[r, c]
-                lines.append(
-                    f"{float(z.real)!r},{float(z.imag)!r},{self.labels[r, c]},"
-                    f"{float(t.real)!r},{float(t.imag)!r},"
-                    f"{float(self.w1_abs[r, c])!r},{float(self.w2_abs[r, c])!r}"
-                )
-        return "\n".join(lines) + "\n"
+        """The grid as CSV, one row per point in row-major order.
+
+        Each float is written as repr(float), the shortest text that reads
+        back to it.  A column is formatted once per distinct bit pattern
+        (grid coordinates and the symmetric example's values repeat), and
+        rows are assembled CSV_BLOCK at a time from the int32 indices.
+        """
+        columns = (self.points.real, self.points.imag, self.trace_values.real,
+                   self.trace_values.imag, self.w1_abs, self.w2_abs)
+        tables = [_distinct_reprs(c) for c in columns]
+        labels = self.labels.reshape(-1)
+        blocks = ["re,im,label,trace_re,trace_im,w1_abs,w2_abs"]
+        for i in range(0, labels.size, CSV_BLOCK):
+            blocks.append(_csv_rows(tables, labels, slice(i, i + CSV_BLOCK)))
+        blocks.append("")  # the final newline, without copying the joined text
+        del tables  # before the join doubles the text
+        return "\n".join(blocks)
 
     def summary_json(self):
         unique, counts = np.unique(self.labels, return_counts=True)
@@ -207,6 +214,26 @@ def scan(mono: Monodromy, pg: PeriodicGJM, region, nx, ny, tol) -> SpectrumScan:
                         points=Z, labels=labels, trace_values=t,
                         w1_abs=np.abs(w1), w2_abs=np.abs(w2),
                         ep_points=tuple(ep))
+
+
+def _distinct_reprs(column):
+    """(texts, index): repr of each distinct float64 bit pattern of column,
+    as an object array, and the int32 position of every entry's pattern in
+    texts, row-major.
+
+    Bit patterns keep -0.0 apart from 0.0; repr of a list of floats is the
+    repr of each, joined by ", ".
+    """
+    bits = np.ascontiguousarray(column, dtype=np.float64).reshape(-1).view(np.uint64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    texts = repr(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object), index.astype(np.int32).reshape(-1)
+
+
+def _csv_rows(tables, labels, rows):
+    """The CSV lines of one slice of rows, joined by newlines."""
+    re, im, tr, ti, w1, w2 = (texts[index[rows]].tolist() for texts, index in tables)
+    return "\n".join(map(",".join, zip(re, im, labels[rows].tolist(), tr, ti, w1, w2)))
 
 
 def _high_to_low(p: Polynomial):

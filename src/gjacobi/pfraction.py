@@ -20,12 +20,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (AllZero, DegreeCapExceeded, EmptyPFraction,
                      InsufficientMoments, OpenCoupling, OutOfRange)
 from .gjmatrix import _integer_k, _krylov
-from .moments import MomentSequence, normalize, parse_scalar, _scalar_str
+from .moments import MomentSequence, normalize, parse_ratio, parse_scalar, _scalar_str
 from .poly import Polynomial, _clear
 
 STATUS_OPEN = "open"
@@ -111,13 +111,22 @@ class PFraction:
             terms.append(PFractionTerm(
                 epsilon=int(eps),
                 b_squared=None if b2 is None else parse_scalar(b2, exact_parse),
-                p=Polynomial([parse_scalar(c, exact_parse) for c in t["p"]]),
+                p=_block([parse_ratio(c, exact_parse) for c in t["p"]]),
             ))
         pf = cls(tuple(terms), status=data.get("status", STATUS_OPEN))
         cap = data.get("degree_cap")  # checked, not kept
         if cap is not None and any(t.degree > cap for t in terms):
             raise ValueError("term degree exceeds degree_cap")
         return pf
+
+
+def _block(values):
+    """Block polynomial of parse_ratio values: exact from the integer ratios,
+    or, when any value is a float, the float polynomial of the scalars."""
+    if float in map(type, values):
+        return Polynomial([v if isinstance(v, float) else Fraction(*v) for v in values])
+    den = lcm(*[d for _, d in values])
+    return Polynomial.from_integer_ratio([n * (den // d) for n, d in values], den)
 
 
 def expand_step(num, den):

@@ -2,7 +2,8 @@
 
 Plain coefficient-list arithmetic over Fractions (or floats), written for
 clarity: long division of series, where the program iterates integer
-matrices and integer remainder pairs.
+matrices and integer remainder pairs.  The spectrum CSV is written one cell
+at a time, where the program formats each distinct value of a column once.
 """
 
 from fractions import Fraction
@@ -112,3 +113,18 @@ def laurent_moments(pf, count):
     J = len(pf)
     seqs = generate(pf, J)
     return tuple(Fraction(c) for c in laurent_coeffs(seqs.Qhat[J], seqs.Phat[J], count))
+
+
+def scan_csv(sc):
+    """SpectrumScan.to_csv cell by cell: one repr per float of every row."""
+    lines = ["re,im,label,trace_re,trace_im,w1_abs,w2_abs"]
+    for r in range(sc.ny):
+        for c in range(sc.nx):
+            z = sc.points[r, c]
+            t = sc.trace_values[r, c]
+            lines.append(
+                f"{float(z.real)!r},{float(z.imag)!r},{sc.labels[r, c]},"
+                f"{float(t.real)!r},{float(t.imag)!r},"
+                f"{float(sc.w1_abs[r, c])!r},{float(sc.w2_abs[r, c])!r}"
+            )
+    return "\n".join(lines) + "\n"

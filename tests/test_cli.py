@@ -1,12 +1,16 @@
 import json
+import os
 import random
+import shlex
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import catalan_pfraction, random_pfraction
-from gjacobi.cli import main
+from oracles import scan_csv
+from gjacobi import periodic
+from gjacobi.cli import build_parser, main
 from gjacobi.moments import MomentSequence
 from gjacobi.pfraction import PFraction, to_moments
 
@@ -138,6 +142,32 @@ def test_spectrum_scan(pfraction_file, tmp_path):
     summary = json.loads((tmp_path / "scan.csv.summary.json").read_text())
     assert summary["ep_points"] == []
     assert "E" in summary["label_counts"]
+
+
+def test_spectrum_csv_over_a_region_from_minus_zero(pfraction_file, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert main(["--out", str(out), "spectrum", pfraction_file, "--period", "1",
+                 "--region=-0,2,-2,2", "--grid", "9,7"]) == 0
+    with open(pfraction_file) as fh:
+        pg = periodic.PeriodicGJM(PFraction.from_json(fh.read()).terms[:1])
+    sc = periodic.scan(periodic.monodromy(pg), pg, (-0.0, 2.0, -2.0, 2.0), 9, 7, 1e-3)
+    text = out.read_text()
+    assert text == scan_csv(sc)
+    assert text.split("\n")[1].startswith("0.0,-2.0,")   # linspace adds -0.0 + 0.0
+    summary = capsys.readouterr().out
+    assert (tmp_path / "scan.csv.summary.json").read_text() + "\n" == summary
+
+
+def test_readme_commands_parse():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("Commands:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(ln) for ln in block.splitlines() if ln.startswith("gjacobi ")]
+    assert len(commands) == 6
+    for argv in commands:
+        args = build_parser().parse_args(argv[1:])
+        assert args.func is not None
 
 
 def test_spectrum_bad_period(pfraction_file):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import catalan_pfraction, random_pfraction
+from oracles import scan_csv
 from gjacobi import periodic, polyrec
 from gjacobi.errors import BadRange, EmptyPFraction, OpenCoupling
 from gjacobi.pfraction import PFractionTerm
@@ -243,6 +245,67 @@ def test_scan_csv_format():
     assert len(lines) == 1 + 25
     first = lines[1].split(",")
     assert float(first[0]) == -1.0 and float(first[1]) == -1.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scan_csv_matches_the_cell_by_cell_writer(seed):
+    rng = random.Random(seed)
+    pg = periodic.PeriodicGJM(random_pfraction(rng, rng.randint(1, 4), 3).terms)
+    mono = periodic.monodromy(pg)
+    sc = periodic.scan(mono, pg, (-3, 3, -2.5, 2.5), rng.randint(2, 40),
+                       rng.randint(2, 40), 1e-3)
+    assert sc.to_csv() == scan_csv(sc)
+
+
+def _first_rows(sc, n):
+    """The scan cut to its first n cells of row 0 (a 1 x n grid)."""
+    return dataclasses.replace(
+        sc, nx=n, ny=1, points=sc.points[:1, :n], labels=sc.labels[:1, :n],
+        trace_values=sc.trace_values[:1, :n], w1_abs=sc.w1_abs[:1, :n],
+        w2_abs=sc.w2_abs[:1, :n])
+
+
+def test_scan_csv_grids_off_the_block_size(monkeypatch):
+    pg = _eigenvalue_period()
+    mono = periodic.monodromy(pg)
+    for nx, ny in ((2, 2), (7, 5)):
+        sc = periodic.scan(mono, pg, (-2, 2, -2, 2), nx, ny, 1e-3)
+        assert sc.to_csv() == scan_csv(sc)
+    block = periodic.CSV_BLOCK
+    wide = periodic.scan(mono, pg, (-2, 2, -2, 2), block + 1, 2, 1e-3)
+    one_more = _first_rows(wide, block + 1)
+    assert one_more.to_csv() == scan_csv(one_more)
+    assert one_more.to_csv().count("\n") == block + 2
+    # many blocks and a short last one
+    monkeypatch.setattr(periodic, "CSV_BLOCK", 4)
+    sc = periodic.scan(mono, pg, (-2, 2, -2, 2), 7, 5, 1e-3)
+    assert sc.to_csv() == scan_csv(sc)
+
+
+def test_scan_csv_special_floats():
+    nan_a, nan_b = np.array([0x7FF8000000000001, 0xFFF8000000000002],
+                            dtype=np.uint64).view(np.float64)
+    values = np.array([-0.0, 0.0, nan_a, nan_b, np.inf, -np.inf, 5e-324,
+                       1e16, 1e-5, 0.1, 0.1, -0.0, 1e16, 0.0, 2.5, nan_a])
+    shape = (4, 4)
+    re = values.reshape(shape)
+    im = np.roll(values, 3).reshape(shape)
+    points = np.empty(shape, dtype=complex)
+    points.real, points.imag = re, im   # re + 1j * im would turn inf into nan
+    trace = np.empty(shape, dtype=complex)
+    trace.real, trace.imag = im, re
+    labels = np.array([periodic.LABEL_E, periodic.LABEL_EP,
+                       periodic.LABEL_RESOLVENT, periodic.LABEL_E] * 4).reshape(shape)
+    sc = periodic.SpectrumScan(
+        region=(-1, 1, -1, 1), nx=4, ny=4, tol=1e-3, points=points, labels=labels,
+        trace_values=trace, w1_abs=np.abs(re), w2_abs=np.roll(values, 7).reshape(shape),
+        ep_points=())
+    csv = sc.to_csv()
+    assert csv == scan_csv(sc)
+    first = csv.split("\n")[1].split(",")
+    assert first[:3] == ["-0.0", "0.0", "E"] and first[5] == "0.0"
+    for text in ("nan", "inf", "-inf", "5e-324", "1e+16", "1e-05", "0.1"):
+        assert f",{text}," in csv or csv.startswith(f"{text},")
 
 
 def test_scan_rejects_degenerate_grid():

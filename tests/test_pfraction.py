@@ -11,7 +11,7 @@ from oracles import fraction_expand, laurent_moments, series_div
 from gjacobi import gjmatrix as gm
 from gjacobi.errors import (AllZero, DegreeCapExceeded, InsufficientMoments,
                             OpenCoupling)
-from gjacobi.moments import MomentSequence
+from gjacobi.moments import MomentSequence, parse_scalar
 from gjacobi.pfraction import (PFraction, PFractionTerm, expand, expand_step,
                                to_moments)
 from gjacobi.poly import Polynomial
@@ -222,6 +222,58 @@ def test_json_roundtrip():
     back = PFraction.from_json(pf.to_json(), exact_parse=True)
     assert back.terms == pf.terms
     assert back.status == "open"
+
+
+def _unreduced(c, rng):
+    """Text of the Fraction c as an unreduced ratio, an integer or with a sign."""
+    m = rng.choice([1, 2, 3, 6])
+    text = rng.choice([f"{c.numerator * m}/{c.denominator * m}",
+                       f" {c.numerator}/{c.denominator}\t"])
+    if c.denominator == 1 and rng.random() < 0.5:
+        text = f"+{c.numerator}" if c >= 0 else str(c.numerator)
+    return text
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_json_blocks_equal_the_polynomials_of_their_scalars(seed):
+    rng = random.Random(seed)
+    pf = random_pfraction(rng, 12, 4)
+    data = json.loads(pf.to_json())
+    for t in data["terms"]:
+        t["p"] = [_unreduced(F(c), rng) for c in t["p"]]
+    text = json.dumps(data)
+    for exact_parse in (False, True):
+        back = PFraction.from_json(text, exact_parse=exact_parse)
+        assert back.terms == pf.terms
+        for got, t in zip(back.terms, data["terms"]):
+            want = Polynomial([parse_scalar(c, exact_parse) for c in t["p"]])
+            assert (got.p._num, got.p._den) == (want._num, want._den)
+
+
+def test_json_blocks_with_decimals_stay_float():
+    text = json.dumps({"terms": [{"epsilon": 1, "b_squared": "1",
+                                  "p": ["0.5", "-1/2", "1"]}]})
+    block = PFraction.from_json(text).terms[0].p
+    want = Polynomial([0.5, F(-1, 2), F(1)])
+    assert block._num is None and block.coeffs == want.coeffs
+    assert [type(c) for c in block.coeffs] == [float, F, F]
+    exact = PFraction.from_json(text, exact_parse=True).terms[0].p
+    assert exact == Polynomial([F(1, 2), F(-1, 2), F(1)])
+
+
+def test_json_block_refusals():
+    def parse(p):
+        return PFraction.from_json(json.dumps(
+            {"terms": [{"epsilon": 1, "b_squared": "1", "p": p}]}))
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(3, 0\)$"):
+        parse(["3/0", "1"])
+    with pytest.raises(ValueError, match="monic"):
+        parse(["0", "2/1"])
+    with pytest.raises(ValueError, match="monic"):
+        parse([])
+    with pytest.raises(ValueError):
+        parse(["1_0/x", "1"])
+    assert parse(["1_0", "3/3"]).terms[0].p == Polynomial([F(10), F(1)])
 
 
 def test_interior_open_coupling_rejected():
