@@ -20,7 +20,7 @@ from itertools import accumulate
 
 from . import gjmatrix, pade, periodic, polyrec, spectral
 from .errors import GJacobiError, InsufficientMoments, PoleAtLambda
-from .moments import MomentSequence, normal_indices
+from .moments import MomentSequence, normal_indices, normalize
 from .pfraction import PFraction, PFractionTerm, expand, to_moments
 from .poly import Polynomial
 
@@ -85,23 +85,18 @@ def _parse_orders(text):
     return out
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
-
-
 def _load_input(path, exact):
     """Either a MomentSequence or a PFraction, keyed on the JSON shape."""
-    data = _load_json(path)
-    text = json.dumps(data)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
     try:
         if "moments" in data:
-            return MomentSequence.from_json(text, exact_parse=exact)
+            return MomentSequence.from_data(data, exact_parse=exact)
         if "terms" in data:
-            return PFraction.from_json(text, exact_parse=exact)
+            return PFraction.from_data(data, exact_parse=exact)
     except (ValueError, KeyError, TypeError, AttributeError,
             ZeroDivisionError) as exc:
         raise CliError(EXIT_PARSE, f"malformed input: {exc}")
@@ -161,10 +156,13 @@ def cmd_pade(args):
     if all(r.value is None for r in table.rows):
         raise CliError(EXIT_POLE, "every requested order has a pole at lambda")
     if isinstance(obj, MomentSequence):
+        series = normalize(obj)  # what expand expanded
+        if series.scale != 1:
+            print("the table is for the moments divided by", series.scale, file=sys.stderr)
         for j in orders:
             appr = pade.diagonal(seqs, j)
             try:
-                mo = pade.match_order(appr, obj)
+                mo = pade.match_order(appr, series)
             except InsufficientMoments:
                 continue
             print(f"j={j} n_j={appr.order} match_order={mo}", file=sys.stderr)

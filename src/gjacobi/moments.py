@@ -56,7 +56,10 @@ class MomentSequence:
 
     @classmethod
     def from_json(cls, text, exact_parse=False):
-        data = json.loads(text)
+        return cls.from_data(json.loads(text), exact_parse)
+
+    @classmethod
+    def from_data(cls, data, exact_parse=False):
         return cls(tuple(parse_scalar(v, exact_parse) for v in data["moments"]))
 
 

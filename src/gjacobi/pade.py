@@ -15,7 +15,7 @@ from .errors import InsufficientMoments, OutOfRange, PoleAtLambda
 from .gjmatrix import m_truncation
 from .moments import MomentSequence
 from .pfraction import PFraction
-from .poly import Polynomial, _clear, _int_mul, _mul
+from .poly import Polynomial, _clear, _mul
 from .polyrec import OrthoSequences
 
 COINCIDES = "coincides"
@@ -76,7 +76,7 @@ def match_order(appr: PadeApproximant, s: MomentSequence) -> int:
         (D, dd), (N, nd) = den.as_integer_ratio(), num.as_integer_ratio()
         S, sd = _clear(s.coeffs)
         top = [0] * (n - len(N)) + list(N[::-1]) + [0] * (m - n)
-        g, dsd = _int_mul(D[::-1], S), dd * sd
+        g, dsd = _mul(D[::-1], S), dd * sd
         first = next((e for e in range(m) if dsd * top[e] + nd * g[e]), m)
     else:
         rden = den.coeffs[::-1]

@@ -26,7 +26,7 @@ from .errors import (AllZero, DegreeCapExceeded, EmptyPFraction,
                      InsufficientMoments, OpenCoupling, OutOfRange)
 from .gjmatrix import _integer_k, _krylov
 from .moments import MomentSequence, normalize, parse_ratio, parse_scalar, _scalar_str
-from .poly import Polynomial, _clear
+from .poly import Polynomial, _clear, _mul
 
 STATUS_OPEN = "open"
 STATUS_TERMINATED = "terminated"
@@ -101,7 +101,10 @@ class PFraction:
 
     @classmethod
     def from_json(cls, text, exact_parse=False):
-        data = json.loads(text)
+        return cls.from_data(json.loads(text), exact_parse)
+
+    @classmethod
+    def from_data(cls, data, exact_parse=False):
         terms = []
         for t in data["terms"]:
             b2 = t.get("b_squared")
@@ -173,18 +176,22 @@ def expand_step(num, den):
         # u = top V narrows to V over the least denominator top
         g = gcd(top, *u)
         top, u = top // g, [c // g for c in u]
-    p = Polynomial(u[::-1]).monic()
+        p = Polynomial.from_integer_ratio(u[::-1], u[0])  # u[0] leads
+    else:
+        p = Polynomial(u[::-1]).monic()
     # top R = top den - u a vanishes through z^k, and R/a is the rest of V:
-    # the remainder is -r/a with r = R_{k+1}, R_{k+2}, ...
-    d = list(den[k + 1:depth - k + 1])
-    d += [0] * (depth - 2 * k - len(d))
-    r = _remainder(top, d, u, a)
+    # the remainder is -r/a with r = R_{k+1}, ..., R_{depth-k}; -u goes
+    # first so that floats subtract one term of u at a time
+    d = list(den[:depth - k + 1])
+    d += [0] * (depth - k + 1 - len(d))
+    top_den = [top * c for c in d]
+    r = _mul([-c for c in u], a, top_den)[k + 1:depth - k + 1]
     if isinstance(a0, int):
         nz = next((j for j, c in enumerate(r) if c), None)
     else:
         # R_j is zero within rounding of the magnitudes that cancelled in it
-        mag = _remainder(abs(top), [abs(c) for c in d], [-abs(c) for c in u],
-                         [abs(c) for c in a])
+        mag = _mul([abs(c) for c in u], [abs(c) for c in a],
+                   [abs(c) for c in top_den])[k + 1:depth - k + 1]
         nz = next((j for j, c in enumerate(r) if abs(c) > 1e-12 * mag[j]), None)
     if nz is None:
         term = PFractionTerm(eps, None, p)
@@ -201,18 +208,6 @@ def expand_step(num, den):
     g = g if top < 0 else -g
     rest = [c // g for c in r] if isinstance(a0, int) else [c / g for c in r]
     return PFractionTerm(eps, b2, p), ((0,) * nz + tuple(rest), a[:nz + len(r)])
-
-
-def _remainder(top, d, u, a):
-    """top * d_j - sum_i u_i a_{k+1+j-i} for j < len(d), k = len(u) - 1: the
-    coefficients k+1, k+2, ... of top * den - u * a.  u is short, so a
-    pass over a per term of u beats one packed product."""
-    n, k = len(d), len(u) - 1
-    r = [top * c for c in d]
-    for i, ui in enumerate(u):
-        if ui:
-            r = [c - ui * ac for c, ac in zip(r, a[k + 1 - i:k + 1 - i + n])]
-    return r
 
 
 def expand(s: MomentSequence, max_terms: int, degree_cap: int) -> PFraction:

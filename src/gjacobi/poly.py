@@ -4,11 +4,11 @@ Coefficients run low-to-high with no trailing zeros; the zero polynomial has
 no coefficients and degree -1.  An exact polynomial is held as a tuple of
 integer numerators over one positive denominator in lowest terms
 (gcd(den, *num) == 1), so +, -, *, scaling, comparison, exact evaluation and
-gcd run on integers with one gcd per result, not one per coefficient.  A
-product is one call of the integer kernel `_int_mul`, one big-integer
-multiply (Kronecker substitution).  `coeffs` shows the coefficients as Fractions, built on first read and then
+gcd run on integers with one gcd per result, not one per coefficient.
+`coeffs` shows the coefficients as Fractions, built on first read and then
 kept.  Float polynomials keep their float (or complex) coefficients and plain
-float arithmetic.
+float arithmetic.  Every product of coefficient lists, here and in
+`pfraction` and `pade`, is one `_mul`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 _P = (1 << 61) - 1  # Mersenne prime of poly_gcd's modular coprimality test
+PACK_ABOVE = 10  # _mul packs integer operands longer than this (crossover 10-12)
 
 
 def _trim(coeffs):
@@ -173,7 +174,8 @@ class Polynomial:
             return Polynomial.zero()
         if self._num is None or other._num is None:
             return Polynomial(_mul(self.coeffs, other.coeffs))
-        return _reduced(_int_mul(self._num, other._num), self._den * other._den)
+        a, b = sorted((self._num, other._num), key=len)  # the fewer passes
+        return _reduced(_mul(a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -276,38 +278,37 @@ def _primitive(ints):
     return [v // g for v in ints] if g > 1 else ints
 
 
-def _mul(a, b):
-    """Schoolbook product of two coefficient sequences, for float data (exact
-    products go through _int_mul)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
+def _mul(a, b, acc=()):
+    """acc + a * b for nonempty coefficient sequences a and b, as a list of
+    length max(len(acc), len(a) + len(b) - 1).
 
-
-def _int_mul(a, b):
-    """Product of two nonempty integer sequences.
-
-    Both are packed into one int each, a slot per coefficient, and
-    multiplied once (Kronecker substitution).  A slot holds at least
-    bitlen(max|a| max|b| min(len a, len b)) + 1 bits (rounded up to whole
-    bytes), so every product coefficient fits its slot with its sign, and
-    the product's slots read back as balanced signed digits.
+    Integer operands both longer than PACK_ABOVE are packed into one int
+    each, a slot of bitlen(max|a| max|b| min(len a, len b)) + 1 bits or more
+    (whole bytes) per coefficient, and multiplied once (Kronecker
+    substitution): every product coefficient fits its slot with its sign, so
+    the slots read back as balanced signed digits.
+    Otherwise each nonzero term of a, in order, makes one pass over b: the
+    schoolbook's summation order for floats, and few passes for a short a.
     """
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
     n = len(a) + len(b) - 1
-    raw = (_pack(a, width) * _pack(b, width)).to_bytes(
-        n * width, "little", signed=True)
-    half, full = 1 << (8 * width - 1), 1 << (8 * width)
-    out, borrow = [], 0
-    for k in range(0, n * width, width):
-        c = int.from_bytes(raw[k:k + width], "little") + borrow
-        borrow = c >= half
-        out.append(c - full if borrow else c)
+    out = list(acc)
+    out += [0] * (n - len(out))
+    if len(a) > PACK_ABOVE < len(b) and all(type(c) is int for s in (a, b) for c in s):
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
+        raw = (_pack(a, width) * _pack(b, width)).to_bytes(
+            n * width, "little", signed=True)
+        half, full = 1 << (8 * width - 1), 1 << (8 * width)
+        borrow = 0
+        for i, k in enumerate(range(0, n * width, width)):
+            c = int.from_bytes(raw[k:k + width], "little") + borrow
+            borrow = c >= half
+            out[i] += c - full if borrow else c
+        return out
+    m = len(b)
+    for i, ca in enumerate(a):
+        if ca:
+            out[i:i + m] = [c + ca * cb for c, cb in zip(out[i:i + m], b)]
     return out
 
 

@@ -2,8 +2,10 @@
 
 Plain coefficient-list arithmetic over Fractions (or floats), written for
 clarity: long division of series, where the program iterates integer
-matrices and integer remainder pairs.  The spectrum CSV is written one cell
-at a time, where the program formats each distinct value of a column once.
+matrices and integer remainder pairs, and the schoolbook product, where the
+program packs long integer operands into one big-integer multiply.  The
+spectrum CSV is written one cell at a time, where the program formats each
+distinct value of a column once.
 """
 
 from fractions import Fraction
@@ -49,9 +51,14 @@ def laurent_coeffs(num, den, count):
     return series_div(nz, den.coeffs[::-1], count)
 
 
-def _schoolbook(a, b):
+def schoolbook(a, b):
+    """Schoolbook product of two coefficient sequences: the reference
+    convolution, exact on integers and Fractions, and for floats the
+    summation order poly._mul keeps."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
+        if not ca:
+            continue
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return out
@@ -73,7 +80,7 @@ def fraction_expand_step(num, den):
     a = num[i0:]
     v = series_div(den[:k + 1], a, k + 1)
     p = Polynomial([v[k - m] / v[0] for m in range(k + 1)])
-    va = _schoolbook(v, a)
+    va = schoolbook(v, a)
     d = list(den[k + 1:depth - k + 1])
     d += [0] * (depth - 2 * k - len(d))
     r = [dj - va[j] for j, dj in enumerate(d, k + 1)]

@@ -100,6 +100,26 @@ def test_pade_convergence_table(catalan_file, tmp_path, capsys):
     assert "match_order" in err and "fitted error ratio" in err
 
 
+def test_pade_matches_moments_scaled_off_one(tmp_path, capsys):
+    # 2 x catalan: expand divides by 2, so the orders are catalan's and the
+    # table says which series it is for
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps({"moments": [str(2 * v) for v in CATALAN[:9]]}))
+    assert main(["pade", str(path), "--lambda=3,0", "--orders", "1..3"]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["the table is for the moments divided by 2",
+                                "j=1 n_j=1 match_order=1",
+                                "j=2 n_j=2 match_order=3",
+                                "j=3 n_j=3 match_order=5"]
+    assert out.splitlines()[1:] == ["1,1,-0.3333333333333333,-0.0,",
+                                    "2,2,-0.375,-0.0,",
+                                    "3,3,-0.38095238095238093,-0.0,"]
+    # scale 1 says nothing more
+    path.write_text(json.dumps({"moments": [str(v) for v in CATALAN[:9]]}))
+    assert main(["pade", str(path), "--lambda=3,0", "--orders", "1..3"]) == 0
+    assert capsys.readouterr().err.splitlines()[0] == "j=1 n_j=1 match_order=1"
+
+
 def test_pade_at_large_lambda(catalan_file, tmp_path):
     # |lambda|^n_j overflows a float long before the continued fraction does
     out = tmp_path / "big.csv"

@@ -208,6 +208,8 @@ def test_scan_finds_eigenvalue():
     assert summary["ep_points"] == [[0.0, 0.0]]
     assert summary["grid"] == [61, 61]
     assert set(summary["label_counts"]) <= {"E", "E_p", "resolvent"}
+    # a region right of the root 0 of P_1 skips it
+    assert periodic.scan(mono, pg, (0.5, 3, -3, 3), 11, 11, 1e-3).ep_points == ()
 
 
 def test_scan_leaves_multiplier_ties_out_of_ep():

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gjacobi.poly import Polynomial, poly_gcd
-from oracles import series_div
+from gjacobi.poly import PACK_ABOVE, Polynomial, _mul, poly_gcd
+from oracles import schoolbook, series_div
 
 F = Fraction
 x = Polynomial.x()
@@ -44,14 +45,6 @@ def test_arithmetic_basics():
     assert p(F(3)) == 8
 
 
-def _convolution(a, b):
-    out = [F(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += F(ca) * F(cb)
-    return out
-
-
 @given(exact_coeffs, exact_coeffs)
 def test_exact_product_matches_convolution(a, b):
     pa, pb = Polynomial(a), Polynomial(b)
@@ -59,7 +52,7 @@ def test_exact_product_matches_convolution(a, b):
     if pa.is_zero or pb.is_zero:
         assert prod.is_zero
         return
-    assert prod.coeffs == tuple(_convolution(pa.coeffs, pb.coeffs))
+    assert prod.coeffs == tuple(schoolbook(pa.coeffs, pb.coeffs))
     assert all(isinstance(c, F) for c in prod.coeffs)
 
 
@@ -88,7 +81,7 @@ def test_exact_ring_operations_match_fraction_oracle(a, b, c):
         (pa + pb, _padded_sum(a, b, 1)),
         (pa - pb, _padded_sum(a, b, -1)),
         (-pa, _trimmed(-F(v) for v in a)),
-        (pa * pb, _trimmed(_convolution(a, b))),
+        (pa * pb, _trimmed(schoolbook(a, b))),
         (pa.scale(c), _trimmed(F(c) * F(v) for v in a)),
         (c * pa, _trimmed(F(c) * F(v) for v in a)),
     ]
@@ -146,11 +139,37 @@ def test_gcd_of_floats_is_that_of_their_rationals(a, b, common):
 @pytest.mark.parametrize("bits", [1, 7, 8, 9, 62, 63, 64, 200])
 def test_exact_product_at_the_slot_bound(bits):
     # product coefficients of either sign up to the slot bound
-    # max|a| max|b| min(len a, len b) in magnitude
-    top = 2 ** bits
+    # max|a| max|b| min(len a, len b) in magnitude, on both of _mul's paths
+    top, n = 2 ** bits, PACK_ABOVE + 1
     for a, b in (([-top] * 5, [-top] * 3), ([top] * 4, [-top] * 4),
-                 ([top, -top] * 3, [top, top, -top]), ([-top], [top - 1] * 6)):
-        assert (Polynomial(a) * Polynomial(b)).coeffs == tuple(_convolution(a, b))
+                 ([top, -top] * 3, [top, top, -top]), ([-top], [top - 1] * 6),
+                 ([-top] * (n + 2), [-top] * n), ([top] * n, [-top] * n),
+                 ([top, -top] * n, [top, top, -top] * n), ([-top] * n, [top - 1] * (n + 3))):
+        assert (Polynomial(a) * Polynomial(b)).coeffs == tuple(schoolbook(a, b))
+
+
+int_terms = st.one_of(st.integers(-3, 3), st.integers(-2 ** 130, 2 ** 130))
+int_lists = st.lists(int_terms, min_size=1, max_size=2 * PACK_ABOVE + 4)
+
+
+@given(int_lists, int_lists, st.lists(int_terms, max_size=4 * PACK_ABOVE))
+def test_integer_mul_matches_schoolbook(a, b, acc):
+    # shorter operands on both sides of PACK_ABOVE, both orders, with and
+    # without acc, longer or shorter than the product
+    for x, y in ((a, b), (b, a)):
+        want = schoolbook(x, y)
+        assert _mul(x, y) == want
+        assert _mul(x, y, acc) == [u + v for u, v in zip_longest(acc, want, fillvalue=0)]
+
+
+float_terms = st.one_of(st.floats(allow_nan=False), st.sampled_from([0, 0.0, -0.0]))
+float_lists = st.lists(float_terms, min_size=1, max_size=2 * PACK_ABOVE + 4)
+
+
+@given(float_lists, float_lists)
+def test_float_mul_is_the_schoolbook_bit_for_bit(a, b):
+    # repr tells -0.0 from 0.0 and int 0 from 0.0
+    assert list(map(repr, _mul(a, b))) == list(map(repr, schoolbook(a, b)))
 
 
 def _fraction_horner(coeffs, lam):

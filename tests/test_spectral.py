@@ -76,6 +76,10 @@ def test_certificate_spectrum_point_not_certified():
     m = gm.m_truncation(catalan_pfraction(61), 60, 0.5)
     cert = spectral.resolvent_certificate(pf, 0.5, m, 40)
     assert cert.verdict in ("violated", "inconclusive")
+    # at lambda = 0 the backward sweep over 50 terms starts at L = 49 and
+    # ends at u_0 = 0 exactly, so the direct Weyl values stand
+    cert = spectral.resolvent_certificate(catalan_pfraction(50), 0.0, 1j, 40)
+    assert cert.verdict in ("violated", "inconclusive")
 
 
 def test_certificate_catalan_depth_120():
