@@ -3,12 +3,13 @@
 A moment sequence holds the coefficients s_0, s_1, ... of the series
 -s_0/lambda - s_1/lambda^2 - ...  Exact sequences carry Fraction entries
 (int entries become Fractions); float sequences get a tolerance-based zero
-test (see FLOAT_ZERO_TOL).
+test (see FLOAT_ZERO_TOL and MomentSequence.first_nonzero).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,9 +17,14 @@ import numpy as np
 
 from .errors import AllZero, InsufficientMoments
 
-# Absolute zero tolerance for float sequences, applied after scaling the
-# entries to unit max-norm.  The exact ring uses true equality.
+# Relative zero tolerance of a float entry (see first_nonzero).  The exact
+# ring uses true equality.
 FLOAT_ZERO_TOL = 1e-12
+# Largest modulus of a decimal exponent an exact parse accepts (see
+# parse_ratio); 10^4000 still prints within Python's 4300-digit limit.
+MAX_EXACT_EXPONENT = 4000
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
+_DIGIT = re.compile(r"\d")
 
 
 @dataclass(frozen=True)
@@ -46,9 +52,22 @@ class MomentSequence:
         return all(isinstance(c, Fraction) for c in self.coeffs)
 
     def first_nonzero(self):
-        """Index of the first nonzero entry, or None if all vanish."""
-        return next((i for i, c in enumerate(self.coeffs)
-                     if not _is_zero(c, self.coeffs)), None)
+        """Index of the first nonzero entry, or None if all vanish.
+
+        A float entry s_i counts as zero within FLOAT_ZERO_TOL of the
+        largest |s_0|, ..., |s_2i|: the Hankel window of order i + 1, whose
+        determinant is +-s_i^(i+1) when s_0, ..., s_(i-1) vanish.  As in
+        normal_indices, a window is measured on its own scale, so the later
+        moments, which grow like R^i, do not swamp the first ones.
+        """
+        c = self.coeffs
+        for i, v in enumerate(c):
+            if isinstance(v, (Fraction, int)):
+                if v:
+                    return i
+            elif not abs(v) <= FLOAT_ZERO_TOL * max(map(abs, c[:2 * i + 1])):
+                return i
+        return None
 
     # -- serialization -------------------------------------------------
     def to_json(self):
@@ -61,15 +80,6 @@ class MomentSequence:
     @classmethod
     def from_data(cls, data, exact_parse=False):
         return cls(tuple(parse_scalar(v, exact_parse) for v in data["moments"]))
-
-
-def _is_zero(value, context):
-    if isinstance(value, (Fraction, int)):
-        return value == 0
-    m = max(abs(float(c)) for c in context)
-    if m == 0.0:
-        return True
-    return abs(float(value)) / m <= FLOAT_ZERO_TOL
 
 
 def _scalar_str(c):
@@ -95,7 +105,11 @@ def parse_ratio(text, exact_parse=False):
     Integers and ratios of ASCII digits with an optional leading sign are
     read by int() directly (a zero denominator raises ZeroDivisionError, as
     Fraction(text) does); everything else goes to Fraction(text) or
-    float(text), so the accepted strings are exactly Fraction's.
+    float(text), so the accepted strings are exactly Fraction's.  An exact
+    decimal with a zero mantissa is 0 whatever its exponent, and one whose
+    exponent exceeds MAX_EXACT_EXPONENT in modulus is refused with
+    ValueError: Fraction would build that power of ten, and a string of 8
+    characters can ask for 10^9999999.
     """
     text = str(text).strip()
     num, slash, den = text.partition("/")
@@ -108,6 +122,18 @@ def parse_ratio(text, exact_parse=False):
         return n, d
     if not slash and ("." in text or "e" in text or "E" in text) and not exact_parse:
         return float(text)
+    exp = None if slash else _EXPONENT.search(text)
+    if exp:
+        # text with exponent 0 is valid, and zero, exactly when text is
+        try:
+            mantissa = Fraction(text[:exp.start(1)] + _DIGIT.sub("0", exp[1]))
+        except ValueError:
+            mantissa = None  # Fraction(text) below raises in its own words
+        if mantissa == 0:
+            return 0, 1
+        if mantissa is not None and abs(int(exp[1])) > MAX_EXACT_EXPONENT:
+            raise ValueError(f"exponent of {text!r} exceeds "
+                             f"{MAX_EXACT_EXPONENT} in modulus")
     return Fraction(text).as_integer_ratio()
 
 

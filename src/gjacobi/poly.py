@@ -5,8 +5,10 @@ no coefficients and degree -1.  An exact polynomial is held as a tuple of
 integer numerators over one positive denominator in lowest terms
 (gcd(den, *num) == 1), so +, -, *, scaling, comparison, exact evaluation and
 gcd run on integers with one gcd per result, not one per coefficient.
-`coeffs` shows the coefficients as Fractions, built on first read and then
-kept.  Float polynomials keep their float (or complex) coefficients and plain
+`coeffs` shows the coefficients as Fractions, and `as_float` the float
+polynomial of the coefficients, each built on first read and then kept, so
+a term evaluated at every depth converts its block to float once.  Float
+polynomials keep their float (or complex) coefficients and plain
 float arithmetic.  Every product of coefficient lists, here and in
 `pfraction` and `pade`, is one `_mul`.
 """
@@ -31,8 +33,9 @@ class Polynomial:
     """Immutable dense polynomial; supports +, -, * and gcd."""
 
     # exact: _num integer numerators, _den > 0, _coeffs None until read;
-    # float: _num and _den None, _coeffs the coefficients
-    __slots__ = ("_num", "_den", "_coeffs")
+    # float: _num and _den None, _coeffs the coefficients; _float is the
+    # float view, None until as_float is first called
+    __slots__ = ("_num", "_den", "_coeffs", "_float")
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, Polynomial):
@@ -195,10 +198,15 @@ class Polynomial:
         return acc
 
     def as_float(self):
-        if self._num is None:
-            return Polynomial(tuple(float(c) for c in self._coeffs))
-        den = self._den  # int / int is correctly rounded, as float(Fraction)
-        return Polynomial(tuple(v / den for v in self._num))
+        f = self._float
+        if f is None:
+            if self._num is None:
+                f = Polynomial(tuple(float(c) for c in self._coeffs))
+            else:
+                den = self._den  # int / int is correctly rounded, as float(Fraction)
+                f = Polynomial(tuple(v / den for v in self._num))
+            object.__setattr__(self, "_float", f)
+        return f
 
     def eval_exact_pair(self, lam):
         """(re, im) of p(lam) as Fractions, or None when not exactly doable.
@@ -240,6 +248,7 @@ def _set(p, num, den, coeffs):
     object.__setattr__(p, "_num", num)
     object.__setattr__(p, "_den", den)
     object.__setattr__(p, "_coeffs", coeffs)
+    object.__setattr__(p, "_float", None)
 
 
 def _exact(num, den):

@@ -106,6 +106,13 @@ def resolvent_certificate(pf: PFraction, lam, m_value, J) -> Certificate:
     limsup |P_j|^{1/n_j} > 1.  violated: q >= 1, or the envelope fails at
     every depth of the deep third.  Anything in between is inconclusive.
     The fraction needs J + 9 terms (TruncationTooShallow otherwise).
+
+    The pairs (i, j) are handled as numpy blocks of rows, with the float
+    operations of a loop over pairs, so the results are those of that loop
+    to the bit: C is the largest |P_i||W_j| over i <= j <= 2J/3, and q the
+    largest (|P_i||W_j| / C)^(1/(n_j - n_i)) over i < j, taken as one power
+    of the largest product of each gap (the power and the division are
+    monotone).  The bounds C q^k of the deep third come from one table.
     """
     if J < 4:
         raise OutOfRange("need J >= 4")
@@ -113,31 +120,38 @@ def resolvent_certificate(pf: PFraction, lam, m_value, J) -> Certificate:
     P, Q = normalized_values(pf, lam, J)
     W = _stabilized_weyl(pf, lam, complex(m_value), P, Q)
     n = list(accumulate((t.degree for t in pf.terms[:J]), initial=0))
+    # Python's abs: numpy's complex abs differs from it in the last bit
+    absP = [abs(v) for v in P]
+    aP, aW, an = np.array(absP), np.array([abs(v) for v in W]), np.array(n)
     fit_hi = max(2, (2 * J) // 3)
-    C = max(abs(P[i]) * abs(W[j])
-            for j in range(fit_hi + 1) for i in range(j + 1))
-    C = max(C, 1e-300)
-    q = 0.0
-    for j in range(fit_hi + 1):
-        for i in range(j):
-            t = abs(P[i]) * abs(W[j])
-            gap = n[j] - n[i]
-            if t > 0 and gap > 0:
+    # overflow and inf * 0 give the inf and NaN that the float loop gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = 0.0
+        best = np.zeros(n[fit_hi] + 1)  # the largest product of each gap n_j - n_i
+        for T, K in _pair_blocks(aP, aW, an, 0, fit_hi + 1, fit_hi + 1):
+            peak = max(peak, float(np.fmax.reduce(T[K >= 0])))
+            up = K > 0
+            np.fmax.at(best, K[up], T[up])
+        # a NaN first product |P_0||W_0| makes C NaN, as max over the pairs does
+        C = max(absP[0] * abs(W[0]), peak, 1e-300)
+        q = 0.0
+        for gap, t in enumerate(best.tolist()):
+            if t > 0:
                 q = max(q, (t / C) ** (1.0 / gap))
-    test_js = range(fit_hi + 1, J + 1)
-    max_res = 0.0
-    fails = []
-    for j in test_js:
-        bad = False
-        for i in range(j + 1):
-            t = abs(P[i]) * abs(W[j])
-            bound = C * q ** (n[j] - n[i]) if q > 0 else (C if i == j else 0.0)
-            max_res = max(max_res, t - bound)
-            if t > bound * (1.0 + 1e-6) + 1e-300:
-                bad = True
-        fails.append(bad)
-    tail = [j for j in range(J + 1) if j >= (2 * J) // 3 and abs(P[j]) > 0 and n[j] > 0]
-    limsup = max((abs(P[j]) ** (1.0 / n[j]) for j in tail), default=0.0)
+        bound = np.array([C * q ** k for k in range(n[J] + 1)] if q > 0
+                         else [C] + [0.0] * n[J])  # k = n_j - n_i is 0 only at i = j
+        limit = bound * (1.0 + 1e-6) + 1e-300
+        max_res = 0.0
+        fails = []
+        for T, K in _pair_blocks(aP, aW, an, fit_hi + 1, J + 1, J + 1):
+            keep = K >= 0
+            k = np.where(keep, K, 0)
+            top = float(np.fmax.reduce((T - bound[k])[keep]))
+            if top > max_res:
+                max_res = top
+            fails += ((T > limit[k]) & keep).any(axis=1).tolist()
+    tail = [j for j in range(J + 1) if j >= (2 * J) // 3 and absP[j] > 0 and n[j] > 0]
+    limsup = max((absP[j] ** (1.0 / n[j]) for j in tail), default=0.0)
     if q >= 1.0 or (fails and all(fails)):
         verdict = VIOLATED
     elif (not any(fails) and limsup > 1.0 + 1e-9
@@ -149,6 +163,20 @@ def resolvent_certificate(pf: PFraction, lam, m_value, J) -> Certificate:
         verdict = INCONCLUSIVE
     return Certificate(lam=lam, C=C, q=q, max_residual=max_res,
                        verdict=verdict, limsup_root=limsup)
+
+
+PAIR_BLOCK = 1 << 18  # pairs per numpy block: bounds the memory at any depth
+
+
+def _pair_blocks(aP, aW, n, lo, hi, width):
+    """(T, K) per block of rows j in [lo, hi): T[r, i] = |P_i| |W_j| and
+    K[r, i] = n_j - n_i for i < width, so i < j where K > 0 and i = j where
+    K = 0 (every block has degree >= 1)."""
+    step = max(1, PAIR_BLOCK // width)
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        yield (aW[a:b, None] * aP[None, :width],
+               n[a:b, None] - n[None, :width])
 
 
 def _stabilized_weyl(pf, lam, m, P, Q):

@@ -5,16 +5,20 @@ clarity: long division of series, where the program iterates integer
 matrices and integer remainder pairs, and the schoolbook product, where the
 program packs long integer operands into one big-integer multiply.  The
 spectrum CSV is written one cell at a time, where the program formats each
-distinct value of a column once.
+distinct value of a column once.  The resolvent certificate loops over the
+pairs (i, j) in Python, where the program works on numpy blocks of them.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 from gjacobi.errors import AllZero, InsufficientMoments
 from gjacobi.moments import normalize
 from gjacobi.pfraction import PFraction, PFractionTerm
 from gjacobi.poly import Polynomial
-from gjacobi.polyrec import generate
+from gjacobi.polyrec import generate, normalized_values
+from gjacobi.spectral import (CERTIFIED, INCONCLUSIVE, VIOLATED, Certificate,
+                              _stabilized_weyl)
 
 
 def series_div(num, den, n):
@@ -135,3 +139,45 @@ def scan_csv(sc):
                 f"{float(sc.w1_abs[r, c])!r},{float(sc.w2_abs[r, c])!r}"
             )
     return "\n".join(lines) + "\n"
+
+
+def certificate_loops(pf, lam, m_value, J):
+    """spectral.resolvent_certificate pair by pair: the O(J^2) loops over
+    i <= j that fit C and q on the depths up to 2J/3 and test the envelope
+    on the rest."""
+    lam = complex(lam)
+    P, Q = normalized_values(pf, lam, J)
+    W = _stabilized_weyl(pf, lam, complex(m_value), P, Q)
+    n = list(accumulate((t.degree for t in pf.terms[:J]), initial=0))
+    fit_hi = max(2, (2 * J) // 3)
+    C = max(abs(P[i]) * abs(W[j])
+            for j in range(fit_hi + 1) for i in range(j + 1))
+    C = max(C, 1e-300)
+    q = 0.0
+    for j in range(fit_hi + 1):
+        for i in range(j):
+            t = abs(P[i]) * abs(W[j])
+            gap = n[j] - n[i]
+            if t > 0 and gap > 0:
+                q = max(q, (t / C) ** (1.0 / gap))
+    max_res = 0.0
+    fails = []
+    for j in range(fit_hi + 1, J + 1):
+        bad = False
+        for i in range(j + 1):
+            t = abs(P[i]) * abs(W[j])
+            bound = C * q ** (n[j] - n[i]) if q > 0 else (C if i == j else 0.0)
+            max_res = max(max_res, t - bound)
+            if t > bound * (1.0 + 1e-6) + 1e-300:
+                bad = True
+        fails.append(bad)
+    tail = [j for j in range(J + 1) if j >= (2 * J) // 3 and abs(P[j]) > 0 and n[j] > 0]
+    limsup = max((abs(P[j]) ** (1.0 / n[j]) for j in tail), default=0.0)
+    if q >= 1.0 or (fails and all(fails)):
+        verdict = VIOLATED
+    elif not any(fails) and limsup > 1.0 + 1e-9 and q ** max(n[J], 1) <= 1e-2:
+        verdict = CERTIFIED
+    else:
+        verdict = INCONCLUSIVE
+    return Certificate(lam=lam, C=C, q=q, max_residual=max_res,
+                       verdict=verdict, limsup_root=limsup)

@@ -67,6 +67,13 @@ def test_parse_failures(tmp_path, catalan_file):
     assert main(["expand", str(bad)]) == 2
     assert main(["pade", catalan_file, "--lambda", "oops"]) == 2
     assert main(["pade", catalan_file, "--lambda", "3,0", "--orders", "0..3"]) == 2
+    # an exact exponent past MAX_EXACT_EXPONENT is refused, not built
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"moments": ["1", "0", "1e99999999"]}))
+    assert main(["expand", str(huge)]) == 2
+    huge.write_text(json.dumps({"terms": [{"epsilon": 1, "b_squared": "2e-99999999",
+                                           "p": ["0E800000", "1"]}]}))
+    assert main(["moments", str(huge)]) == 2
 
 
 def test_malformed_shapes_are_parse_errors(tmp_path):

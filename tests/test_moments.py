@@ -1,15 +1,17 @@
 import itertools
 import random
+import re
 from itertools import accumulate
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_pfraction
 from gjacobi.errors import AllZero, InsufficientMoments
-from gjacobi.moments import (MomentSequence, hankel_det, normal_indices,
-                             normalize, parse_scalar)
+from gjacobi.moments import (MAX_EXACT_EXPONENT, MomentSequence, hankel_det,
+                             normal_indices, normalize, parse_scalar)
 from gjacobi.pfraction import expand, to_moments
 
 F = Fraction
@@ -101,6 +103,23 @@ def test_normalize_scales_first_nonzero_to_unit():
         normalize(MomentSequence((F(0), F(0))))
 
 
+def test_float_zero_test_is_relative_to_each_hankel_window():
+    # 51 catalan moments reach s_50 = 4.9e12; against the largest entry of
+    # the sequence s_0 ... s_5 read as zero, and expand met a first block of
+    # degree 7.  Each entry is measured against its own window s_0..s_2i.
+    cat = [comb(i, i // 2) // (i // 2 + 1) if i % 2 == 0 else 0 for i in range(51)]
+    s = MomentSequence(tuple(float(v) for v in cat))
+    assert s.first_nonzero() == 0
+    assert expand(s, 25, 6).block_degrees() == (1,) * 25
+    assert expand(s, 25, 6) == expand(MomentSequence(tuple(cat)), 25, 6)
+    # rounding noise below the scale of its window is still zero
+    noisy = MomentSequence((0.0, 1e-17, 1.0, -2e-16, 2.0, 1.0))
+    assert noisy.first_nonzero() == 2
+    assert normalize(noisy).coeffs[2] == 1.0
+    assert MomentSequence((0.0, 1e-17, 0.0)).first_nonzero() == 1
+    assert MomentSequence((0.0, 0.0)).first_nonzero() is None
+
+
 def test_int_moments_are_exact():
     ints = MomentSequence((1, 0, 1, 0, 2, 0, 5, 0))
     twin = MomentSequence(tuple(F(v) for v in ints.coeffs))
@@ -128,12 +147,21 @@ def test_parse_scalar():
 
 
 def _parse_reference(text, exact_parse):
-    """parse_scalar without its integer fast path: Fraction(text) decides."""
+    """parse_scalar without its integer fast path: Fraction(text) decides,
+    except on an exact decimal whose exponent exceeds MAX_EXACT_EXPONENT in
+    modulus.  That one is 0 when its mantissa is zero and refused otherwise,
+    and valid where the same string with exponent 0 is (Fraction would
+    build the power of ten first)."""
     text = str(text).strip()
     if "/" in text:
         return Fraction(text)
     if ("." in text or "e" in text or "E" in text) and not exact_parse:
         return float(text)
+    big = re.fullmatch(r"(.*[eE])([-+]?\d+(?:_\d+)*)", text, re.S)
+    if big and abs(int(big[2])) > MAX_EXACT_EXPONENT:
+        if Fraction(big[1] + re.sub(r"\d", "0", big[2])):
+            raise ValueError("exponent out of range")
+        return Fraction(0)
     return Fraction(text)
 
 
@@ -152,6 +180,8 @@ PARSE_CASES = [
     "1E3", "1e-3", "1.5", "-1.5", ".5", "5.", "1.5/2", "1/2/3", "", " ", "-",
     "+", "/", "3/", "/4", "--1", "+-1", "0x10", "inf", "nan", "True", "1 2",
     "\u0661\u0662", "\u0661/\u0662", "\u00b2", 3, -4, 0.5, True,
+    "0E800000", "-0.0e99999", "0_0e9_999", "1e99999999", "1e-4001", "1e4000",
+    "0e 99999", "1e 99999", "1e1__0", "1e4_001", "0e\u0663\u0663\u0663\u0663\u0663",
 ]
 
 
@@ -160,7 +190,8 @@ def test_parse_scalar_accepts_exactly_what_fraction_does(exact_parse):
     # the integer fast path returns what Fraction(text) returns, raises as
     # it does on a zero denominator, and leaves every other string
     # (underscores, inner spaces, non-ASCII digits, decimals) to Fraction or
-    # float, whichever this Python's Fraction accepts
+    # float, whichever this Python's Fraction accepts; an exact exponent past
+    # MAX_EXACT_EXPONENT is refused unless the mantissa is zero
     for text in PARSE_CASES:
         assert (_outcome(parse_scalar, text, exact_parse)
                 == _outcome(_parse_reference, text, exact_parse)), text

@@ -276,6 +276,115 @@ def test_json_block_refusals():
     assert parse(["1_0", "3/3"]).terms[0].p == Polynomial([F(10), F(1)])
 
 
+PARSE_ERRORS = (ValueError, KeyError, TypeError, AttributeError,
+                ZeroDivisionError, OpenCoupling)
+
+
+def _parsed(terms, exact_parse):
+    """repr of the parsed terms, or the type of what the parse raises (==
+    does not see the ring: Fraction(1) == 1.0)."""
+    try:
+        return repr(PFraction.from_data({"terms": terms}, exact_parse).terms)
+    except PARSE_ERRORS as exc:
+        return type(exc)
+
+
+def _parsed_alone(terms, exact_parse):
+    """_parsed with every term parsed by itself: the first failure, else the
+    fraction of the terms so parsed."""
+    alone = []
+    for t in terms:
+        try:
+            alone += PFraction.from_data({"terms": [t]}, exact_parse).terms
+        except PARSE_ERRORS as exc:
+            return type(exc)
+    try:
+        return repr(PFraction(tuple(alone)).terms)
+    except OpenCoupling:
+        return OpenCoupling
+
+
+# values of epsilon, b_squared and p that parse (per field), and the values
+# equal to them under == that may not
+GOOD = {"epsilon": [1, 1.0, "1", -1, "-1", -1.0],
+        "b_squared": [1, 1.0, "1", "1.0", "1/2", 0.5, None],
+        "p": [1, 1.0, "1", "1/2", -0.0, 0.0, "0", "-0.0", 0]}
+ONES = [1, 1.0, "1", True, False, "1.0", -1, 1.5, -0.0, 0.0, "0", None]
+# values equal under == (and in hash) that parse differently or fail
+TWINS = [[1, 1.0, True], [0, 0.0, -0.0, False], [-1, -1.0]]
+
+
+def _twin(t, rng):
+    """t with one value replaced by an equal value of another type or sign
+    (t itself when it has none, or is not a dict of the three fields)."""
+    if not (isinstance(t, dict) and {"epsilon", "b_squared"} <= t.keys()
+            and isinstance(t.get("p"), list)):
+        return t
+    values = [("epsilon", None), ("b_squared", None)] + [("p", i) for i in range(len(t["p"]))]
+    rng.shuffle(values)
+    for field, i in values:
+        v = t[field] if i is None else t[field][i]
+        for group in TWINS:
+            if any(type(v) is type(w) and repr(v) == repr(w) for w in group):
+                other = rng.choice([w for w in group if repr(w) != repr(v)])
+                twin = {**t, "p": list(t["p"])}
+                if i is None:
+                    twin[field] = other
+                else:
+                    twin["p"][i] = other
+                return twin
+    return t
+
+
+def test_repeated_terms_parse_as_each_term_alone():
+    # from_data parses each distinct term once; its key must keep apart the
+    # values 1 == 1.0 == True and -0.0 == 0.0, which parse differently or
+    # fail, so that a bad term repeating a good-looking one is still refused
+    rng = random.Random(19)
+
+    def value(field):
+        return rng.choice(GOOD[field] if rng.random() < 0.9 else ONES)
+
+    pool = [{"epsilon": value("epsilon"), "b_squared": value("b_squared"),
+             "p": [value("p") for _ in range(rng.randint(0, 2))]
+             + [rng.choice([1, 1.0, "1", True, "1/1"])]} for _ in range(40)]
+    pool += [{"b_squared": "1", "p": ["1"]}, {"epsilon": 1, "p": "01"},
+             {"epsilon": 1, "b_squared": "1", "p": [["0"], "1"]}, ["1"]]
+    outcomes = set()
+    for _ in range(600):
+        terms = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        terms += [rng.choice(terms) for _ in range(rng.randint(0, 3))]
+        terms += [_twin(rng.choice(terms), rng) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(terms)
+        for exact_parse in (False, True):
+            want = _parsed_alone(terms, exact_parse)
+            assert _parsed(terms, exact_parse) == want, terms
+            outcomes.add(want if isinstance(want, type) else str)
+    assert {str, ValueError, OpenCoupling} <= outcomes
+
+
+def test_repeated_term_memo_keeps_the_ring_and_the_refusals():
+    good = {"epsilon": 1, "b_squared": "1", "p": ["0", "1"]}
+    mixed = [good, {"epsilon": 1.0, "b_squared": 1, "p": [0, 1]},
+             {"epsilon": "1", "b_squared": 1.0, "p": [0.0, 1.0]},
+             {"epsilon": 1, "b_squared": "1", "p": [-0.0, 1]}]
+    pf = PFraction.from_data({"terms": mixed})
+    assert [type(t.b_squared) for t in pf.terms] == [F, F, float, F]
+    assert [type(t.p.coeffs[0]) for t in pf.terms] == [F, F, float, float]
+    assert repr(pf.terms[3].p.coeffs[0]) == "-0.0"
+    zeros = PFraction.from_data({"terms": [mixed[2], {**mixed[2], "p": [-0.0, 1.0]}]})
+    assert [repr(t.p.coeffs[0]) for t in zeros.terms] == ["0.0", "-0.0"]
+    assert all(type(t.b_squared) is F for t in
+               PFraction.from_data({"terms": mixed}, exact_parse=True).terms)
+    for bad in ({**good, "epsilon": True}, {**good, "epsilon": 1.5},
+                {**good, "b_squared": True}, {**good, "b_squared": "0"},
+                {**good, "p": ["0", "2"]}, {**good, "p": [False, "1"]}):
+        with pytest.raises(ValueError):
+            PFraction.from_data({"terms": [good, good, bad, good]})
+    with pytest.raises(KeyError):
+        PFraction.from_data({"terms": [good, {"b_squared": "1", "p": ["0", "1"]}]})
+
+
 def test_interior_open_coupling_rejected():
     coupled, open_ = PFractionTerm(1, F(1), x), PFractionTerm(1, None, x)
     with pytest.raises(OpenCoupling):

@@ -1,14 +1,16 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import catalan_pfraction, example64_pfraction, random_pfraction
+from oracles import certificate_loops
 from gjacobi import gjmatrix as gm
 from gjacobi import polyrec, spectral
-from gjacobi.errors import BadIndex, OutOfRange, TruncationTooShallow
+from gjacobi.errors import BadIndex, OutOfRange, PoleAtLambda, TruncationTooShallow
 
 F = Fraction
 
@@ -126,6 +128,55 @@ def test_certificate_violated_for_the_wrong_m():
     # the early depths fails at every depth of the deep third
     cert = spectral.resolvent_certificate(catalan_pfraction(60), 3.0, 0.0, 40)
     assert cert.verdict == "violated"
+
+
+CERTIFICATE_FIELDS = ("lam", "C", "q", "max_residual", "verdict", "limsup_root")
+
+
+def _assert_matches_the_pair_loops(pf, lam, m, J):
+    got = spectral.resolvent_certificate(pf, lam, m, J)
+    want = certificate_loops(pf, lam, m, J)
+    for field in CERTIFICATE_FIELDS:
+        assert repr(getattr(got, field)) == repr(getattr(want, field)), (field, J, lam, m)
+    return got.verdict
+
+
+@pytest.mark.parametrize("seed, pair_block", [(1, None), (2, 7)])
+def test_certificate_matches_the_pair_loops(seed, pair_block, monkeypatch):
+    # every field to the bit, on random fractions at depths 4-40; |lambda|
+    # up to 1e60 makes P overflow to inf and |P_i||W_j| to inf and NaN, and
+    # a PAIR_BLOCK of 7 splits the pairs into many blocks
+    if pair_block is not None:
+        monkeypatch.setattr(spectral, "PAIR_BLOCK", pair_block)
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(150):
+        J = rng.randint(4, 40)
+        pf = random_pfraction(rng, J + rng.randint(9, 16))
+        scale = rng.choice([0.5, 2.0, 4.0, 1e3, 1e60])
+        lam = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+        if rng.random() < 0.8:
+            try:
+                m = gm.m_truncation(pf, len(pf) - 1, lam)
+            except PoleAtLambda:
+                continue
+        else:
+            m = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        verdicts.add(_assert_matches_the_pair_loops(pf, lam, m, J))
+    assert verdicts == {"certified_decay", "inconclusive", "violated"}
+
+
+def test_certificate_matches_the_pair_loops_at_depth_120():
+    for pf, lam in ((catalan_pfraction(482), 3.0), (catalan_pfraction(482), 0.5),
+                    (example64_pfraction(482), 1 + 1j)):
+        m = gm.m_truncation(pf, 480, lam)
+        _assert_matches_the_pair_loops(pf, lam, m, 120)
+    # a NaN m-value (Horner overflows to inf - inf at |lambda| ~ 1e200)
+    # makes every W_j NaN, and the pair loops' C NaN
+    lam = complex(1e200, 1e200)
+    m = gm.m_truncation(example64_pfraction(60), 59, lam)
+    assert math.isnan(m.real)
+    _assert_matches_the_pair_loops(example64_pfraction(60), lam, m, 40)
 
 
 def test_resolvent_column_residuals():
