@@ -105,7 +105,7 @@ class GJMatrix:
         for j in range(len(blocks) - 1):
             k, k_next = blocks[j].size, blocks[j + 1].size
             t, t_next = self.source[j], self.source[j + 1]
-            b = math.sqrt(float(t.b_squared))
+            b = t.b_float
             M[off + k][off + k - 1] = b
             M[off][off + k + k_next - 1] = t.epsilon * t_next.epsilon * b
             off += k
@@ -310,7 +310,7 @@ def _continued_fraction(terms, lam) -> complex:
     while i >= 0:
         t = terms[i]
         p = complex(t.p.as_float()(lam))
-        tail = t.epsilon * float(t.b_squared) * f if f else 0j
+        tail = t.epsilon * t.b_squared_float * f if f else 0j
         den = p - tail
         if i == 0 and abs(den) <= 1e-13 * max(1.0, abs(p), abs(tail)):
             raise PoleAtLambda(f"lambda={lam} is an eigenvalue of the truncation")

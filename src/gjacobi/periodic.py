@@ -124,7 +124,7 @@ def _labels(mono, pg, Z, t, tol, t_slack):
     """
     (a, _), (c, d) = mono.T
     w11, w21, w22 = (np.polyval(_high_to_low(p), Z) for p in (a, c, d))
-    b = math.sqrt(float(pg.terms[-1].b_squared))
+    b = pg.terms[-1].b_float
     deg = max(e.degree for row in mono.T for e in row)
     scale = b * np.maximum(1.0, np.abs(Z)) ** deg
     is_ep = (np.abs(w21) <= tol * scale) & (np.abs(w11) > np.abs(w22) + tol * scale)

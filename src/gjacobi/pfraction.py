@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
 
 from .errors import (AllZero, DegreeCapExceeded, EmptyPFraction,
                      InsufficientMoments, OpenCoupling, OutOfRange)
@@ -52,6 +53,18 @@ class PFractionTerm:
     @property
     def degree(self):
         return self.p.degree
+
+    # the float couplings, kept once per term: the terms of a periodic
+    # input are one shared object, read at every depth
+    @cached_property
+    def b_squared_float(self):
+        """float(b_squared); TypeError for a final term without coupling."""
+        return float(self.b_squared)
+
+    @cached_property
+    def b_float(self):
+        """The coupling b = sqrt(b^2) as a float."""
+        return sqrt(self.b_squared_float)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,18 @@ polynomial of the coefficients, each built on first read and then kept, so
 a term evaluated at every depth converts its block to float once.  Float
 polynomials keep their float (or complex) coefficients and plain
 float arithmetic.  Every product of coefficient lists, here and in
-`pfraction` and `pade`, is one `_mul`.
+`pfraction` and `pade`, is one `_mul`.  Long integer lists are multiplied
+as Kronecker packings: `_pack` writes each coefficient v as the unsigned
+slot v + half (half = 2^(8 width - 1)) and takes the bias, half in every
+slot, off once; `_unpack` adds it back and reads each slot minus half, one
+conversion per coefficient either way.  The exact Liouville-Ostrogradsky
+residual of `polyrec` is evaluated on the same packings and slot widths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 _P = (1 << 61) - 1  # Mersenne prime of poly_gcd's modular coprimality test
@@ -292,28 +298,19 @@ def _mul(a, b, acc=()):
     length max(len(acc), len(a) + len(b) - 1).
 
     Integer operands both longer than PACK_ABOVE are packed into one int
-    each, a slot of bitlen(max|a| max|b| min(len a, len b)) + 1 bits or more
-    (whole bytes) per coefficient, and multiplied once (Kronecker
-    substitution): every product coefficient fits its slot with its sign, so
-    the slots read back as balanced signed digits.
+    each, at the _slot_width of their _product_bound, and multiplied once
+    (Kronecker substitution): every product coefficient fits its slot with
+    its sign, so _unpack reads the slots back.
     Otherwise each nonzero term of a, in order, makes one pass over b: the
     schoolbook's summation order for floats, and few passes for a short a.
     """
     n = len(a) + len(b) - 1
+    if len(a) > PACK_ABOVE < len(b) and all(type(c) is int for s in (a, b) for c in s):
+        width = _slot_width(_product_bound(a, b))
+        out = _unpack(_pack(a, width) * _pack(b, width), width, n)
+        return [u + v for u, v in zip_longest(out, acc, fillvalue=0)] if acc else out
     out = list(acc)
     out += [0] * (n - len(out))
-    if len(a) > PACK_ABOVE < len(b) and all(type(c) is int for s in (a, b) for c in s):
-        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
-        raw = (_pack(a, width) * _pack(b, width)).to_bytes(
-            n * width, "little", signed=True)
-        half, full = 1 << (8 * width - 1), 1 << (8 * width)
-        borrow = 0
-        for i, k in enumerate(range(0, n * width, width)):
-            c = int.from_bytes(raw[k:k + width], "little") + borrow
-            borrow = c >= half
-            out[i] += c - full if borrow else c
-        return out
     m = len(b)
     for i, ca in enumerate(a):
         if ca:
@@ -321,11 +318,45 @@ def _mul(a, b, acc=()):
     return out
 
 
+# Kronecker packing: a list of integers packs to its value at
+# x = 2^(8 width), so sums and products of packings are the packings of the
+# sums and products of the lists; it unpacks while every coefficient stays
+# below half = 2^(8 width - 1) in modulus, the slot v + half in [0, 2 half).
+
+def _product_bound(a, b):
+    """max|a| max|b| min(len a, len b), a bound on the moduli of the
+    coefficients of a * b (0 when either list is empty)."""
+    if not a or not b:
+        return 0
+    return max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+
+
+def _slot_width(bound):
+    """Bytes per slot for coefficients of modulus at most bound: the least
+    whole bytes with bound < half."""
+    return bound.bit_length() // 8 + 1
+
+
+def _bias(width, n):
+    """sum half 2^(8 width i) over n slots."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n, "little")
+
+
 def _pack(ints, width):
-    """sum ints[i] * 2^(8 width i) for integers that fit width signed bytes."""
-    pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in ints)
-    neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in ints)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum ints[i] 2^(8 width i) for integers of modulus below half: one
+    unsigned slot ints[i] + half each, less the bias."""
+    half = 1 << (8 * width - 1)
+    raw = b"".join([(v + half).to_bytes(width, "little") for v in ints])
+    return int.from_bytes(raw, "little") - _bias(width, len(ints))
+
+
+def _unpack(packed, width, n):
+    """The n coefficients of packed = sum v_i 2^(8 width i), i < n, each of
+    modulus below half: packed + bias has the unsigned slots v_i + half."""
+    half = 1 << (8 * width - 1)
+    raw = (packed + _bias(width, n)).to_bytes(n * width, "little")
+    return [int.from_bytes(raw[k:k + width], "little") - half
+            for k in range(0, n * width, width)]
 
 
 # -- exact gcd: modular coprimality test, then subresultant PRS --------

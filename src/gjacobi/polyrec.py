@@ -6,6 +6,8 @@ only b^2.  The normalized P_j, Q_j (each Phat_j, Qhat_j divided by
 b_0...b_{j-1}) exist only as float values, computed by the recurrence sweep
 of normalized_values without expanding any polynomial.  The periodic
 monodromy is built from the exact pair Phat_s, Qhat_s (see periodic).
+The exact Liouville-Ostrogradsky residual is one big-integer expression in
+the Kronecker packings of poly, unpacked only when it is not zero.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import NotEnoughTerms, OutOfRange
-from .poly import Polynomial, poly_gcd
+from .poly import (Polynomial, _pack, _product_bound, _slot_width, _unpack,
+                   poly_gcd)
 
 if TYPE_CHECKING:  # pfraction imports generate from this module
     from .pfraction import PFraction
@@ -78,7 +81,7 @@ def normalized_values(pf: PFraction, lam, J: int):
         term = pf[j]
         if term.b_squared is None:
             raise OutOfRange(f"normalization of index {j + 1} needs coupling b_{j}")
-        b = math.sqrt(float(term.b_squared))
+        b = term.b_float
         pj = complex(term.p.as_float()(lam))
         c = eps_prev * term.epsilon * b_prev
         P.append((pj * P[-1] - c * P[-2]) / b)
@@ -110,7 +113,7 @@ def lo_defect(seqs: OrthoSequences, j: int, lam) -> float:
             di = term.epsilon * wi / prods
             return abs(complex(float(dr), float(di)))
     P, Q = normalized_values(seqs.source, lam, j + 1)
-    b = math.sqrt(float(term.b_squared))
+    b = term.b_float
     left, right = b * Q[j + 1] * P[j], b * Q[j] * P[j + 1]
     return abs(term.epsilon * (left - right) - 1.0) / max(1.0, abs(left), abs(right))
 
@@ -120,11 +123,41 @@ def lo_polynomial_residual(seqs: OrthoSequences, j: int) -> Polynomial:
 
     Zero as an exact polynomial for every generated j (monic-scaled
     Liouville-Ostrogradsky identity).
+
+    On exact data the two products and the constant go over one common
+    denominator D, and the four numerator lists are packed (poly._pack) at
+    one slot width whose half exceeds a bound on every coefficient of D
+    times the residual: the two products' bounds plus |D pi_j|.  Packing is
+    evaluation at x = 2^(8 width), so the residual numerator at that point
+    is one integer expression.  It is zero exactly when the residual is:
+    a polynomial whose integer coefficients are below half a slot in
+    modulus is its own balanced base-2^(8 width) expansion, and those
+    digits are unique, so it vanishes at 2^(8 width) only when every digit
+    does.  A zero integer returns Polynomial.zero() without unpacking.
+    Float sequences use the Polynomial expression.
     """
     seqs.check_range(j + 1)
     eps = seqs.source[j].epsilon
-    wron = seqs.Qhat[j + 1] * seqs.Phat[j] - seqs.Qhat[j] * seqs.Phat[j + 1]
-    return eps * wron - Polynomial((seqs.b2_products[j],))
+    Q1, P0, Q0, P1 = seqs.Qhat[j + 1], seqs.Phat[j], seqs.Qhat[j], seqs.Phat[j + 1]
+    const = seqs.b2_products[j]
+    if not (isinstance(const, (int, Fraction))
+            and all(u.is_exact for u in (Q1, P0, Q0, P1))):
+        return eps * (Q1 * P0 - Q0 * P1) - Polynomial((const,))
+    (q1, dq1), (p0, dp0), (q0, dq0), (p1, dp1) = (
+        u.as_integer_ratio() for u in (Q1, P0, Q0, P1))
+    cn, cd = const.as_integer_ratio()
+    D = math.lcm(dq1 * dp0, dq0 * dp1, cd)
+    f1, f2, c = D // (dq1 * dp0), D // (dq0 * dp1), cn * (D // cd)
+    width = _slot_width(f1 * _product_bound(q1, p0) + f2 * _product_bound(q0, p1) + abs(c))
+
+    def product(a, b):  # an empty factor (Qhat_0) bounds nothing of its partner
+        return _pack(a, width) * _pack(b, width) if a and b else 0
+
+    packed = eps * (f1 * product(q1, p0) - f2 * product(q0, p1)) - c
+    if not packed:
+        return Polynomial.zero()
+    n = max(len(q1) + len(p0), len(q0) + len(p1)) - 1
+    return Polynomial.from_integer_ratio(_unpack(packed, width, n), D)
 
 
 @dataclass(frozen=True)

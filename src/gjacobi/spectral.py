@@ -9,7 +9,6 @@ polynomials show genuine exponential growth.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -52,11 +51,9 @@ def weyl_solution(pf: PFraction, lam, m_value, J) -> WeylData:
     worst = 0.0
     for j in range(1, J):
         prev, cur = pf[j - 1], pf[j]
-        b_prev = math.sqrt(float(prev.b_squared))
-        b_cur = math.sqrt(float(cur.b_squared))
-        t1 = prev.epsilon * cur.epsilon * b_prev * W[j - 1]
+        t1 = prev.epsilon * cur.epsilon * prev.b_float * W[j - 1]
         t2 = -complex(cur.p.as_float()(lam)) * W[j]
-        t3 = b_cur * W[j + 1]
+        t3 = cur.b_float * W[j + 1]
         scale = max(abs(t1), abs(t2), abs(t3), 1.0)
         worst = max(worst, abs(t1 + t2 + t3) / scale)
     return WeylData(lam=lam, m_value=m, depth=J, W=tuple(W),
@@ -195,7 +192,7 @@ def _stabilized_weyl(pf, lam, m, P, Q):
     W_direct = [q + m * p for p, q in zip(P, Q)]
     L = min(len(pf) - 1, J + 16)
     # b_L multiplies u_{L+1} = 0 only, so an open last term L is harmless
-    b = [math.sqrt(float(pf[j].b_squared)) for j in range(L)] + [0.0]
+    b = [pf[j].b_float for j in range(L)] + [0.0]
     p = [pf[j].p.as_float() for j in range(L + 1)]
     u = [0j] * (L + 2)
     u[L + 1], u[L] = 0j, 1.0 + 0j

@@ -7,6 +7,8 @@ program packs long integer operands into one big-integer multiply.  The
 spectrum CSV is written one cell at a time, where the program formats each
 distinct value of a column once.  The resolvent certificate loops over the
 pairs (i, j) in Python, where the program works on numpy blocks of them.
+The Liouville-Ostrogradsky residual is built from Polynomial products, where
+the program evaluates it as one packed integer.
 """
 
 from fractions import Fraction
@@ -181,3 +183,11 @@ def certificate_loops(pf, lam, m_value, J):
         verdict = INCONCLUSIVE
     return Certificate(lam=lam, C=C, q=q, max_residual=max_res,
                        verdict=verdict, limsup_root=limsup)
+
+
+def lo_residual_products(seqs, j):
+    """polyrec.lo_polynomial_residual as Polynomial products and
+    differences: eps_j (Qhat_{j+1} Phat_j - Qhat_j Phat_{j+1}) - prod_{i<j} b_i^2."""
+    eps = seqs.source[j].epsilon
+    wron = seqs.Qhat[j + 1] * seqs.Phat[j] - seqs.Qhat[j] * seqs.Phat[j + 1]
+    return eps * wron - Polynomial((seqs.b2_products[j],))

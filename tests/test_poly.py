@@ -3,9 +3,10 @@ from itertools import zip_longest
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from gjacobi.poly import PACK_ABOVE, Polynomial, _mul, poly_gcd
+from gjacobi.poly import (PACK_ABOVE, Polynomial, _mul, _pack, _product_bound,
+                          _unpack, poly_gcd)
 from oracles import schoolbook, series_div
 
 F = Fraction
@@ -160,6 +161,43 @@ def test_integer_mul_matches_schoolbook(a, b, acc):
         want = schoolbook(x, y)
         assert _mul(x, y) == want
         assert _mul(x, y, acc) == [u + v for u, v in zip_longest(acc, want, fillvalue=0)]
+
+
+def _packable_lists(width):
+    # entries anywhere in the open slot range (-half, half), its ends and 0
+    top = 2 ** (8 * width - 1) - 1
+    entry = st.one_of(st.integers(-top, top), st.sampled_from([-top, top, -1, 0, 1]))
+    return st.tuples(st.just(width), st.one_of(
+        st.lists(entry, max_size=3 * PACK_ABOVE),
+        st.lists(st.integers(-top, -1), min_size=1, max_size=12),
+        st.lists(st.just(0), min_size=1, max_size=12)))
+
+
+@example((1, [-127]))
+@example((3, [0] * 5))
+@example((24, [-(2 ** 191 - 1)] * 7))
+@given(st.integers(1, 24).flatmap(_packable_lists))
+def test_pack_unpack_round_trip(case):
+    width, v = case
+    assert _unpack(_pack(v, width), width, len(v)) == v
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 23, 24, 25, 63, 64, 65])
+@pytest.mark.parametrize("minus_one", [False, True])
+def test_mul_at_a_byte_boundary(k, minus_one):
+    # product bound max|a| max|b| min(len a, len b) exactly 2^k or 2^k - 1
+    # around the slot edges 8m - 1, 8m, 8m + 1, with product coefficients
+    # reaching it in modulus: for 2^(8m - 1) - 1 the slot's half is one more
+    bound = 2 ** k - minus_one
+    # n equal terms reach the bound when n divides it; each k here has such n
+    n = next(n for n in range(PACK_ABOVE + 1, 128) if bound % n == 0)
+    top = bound // n
+    for a, b in (([top] * n, [1] * (n + 3)), ([-top] * n, [1] * n),
+                 ([top, -top] * (n // 2) + [top] * (n % 2), [-1, 1] * (n // 2 + 2))):
+        assert _product_bound(a, b) == bound
+        want = schoolbook(a, b)
+        assert max(map(abs, want)) == bound
+        assert _mul(a, b) == want and _mul(b, a) == want
 
 
 float_terms = st.one_of(st.floats(allow_nan=False), st.sampled_from([0, 0.0, -0.0]))

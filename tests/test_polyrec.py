@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,9 @@ import pytest
 from conftest import catalan_pfraction, example64_pfraction, random_pfraction
 from gjacobi import periodic, polyrec
 from gjacobi.errors import NotEnoughTerms, OutOfRange
-from gjacobi.pfraction import PFraction
+from gjacobi.pfraction import PFraction, PFractionTerm
 from gjacobi.poly import Polynomial
+from oracles import lo_residual_products
 
 F = Fraction
 x = Polynomial.x()
@@ -34,11 +37,66 @@ def test_example64_normalized_values():
 
 
 def test_lo_polynomial_residual_is_zero(rng):
-    for _ in range(8):
-        pf = random_pfraction(rng, 6)
-        seqs = polyrec.generate(pf, 5)
-        for j in range(4):
+    # the last fraction's first block outgrows the slot of the j = 0
+    # residual, whose Qhat_0 Phat_1 vanishes
+    big = PFraction((PFractionTerm(-1, F(1, 3), x * x + 10 ** 30 * x - F(7, 2)),
+                     PFractionTerm(1, F(5), x + 2), PFractionTerm(1, F(2), x)))
+    for pf in [random_pfraction(rng, 6) for _ in range(8)] + [big]:
+        seqs = polyrec.generate(pf, len(pf) - 1)
+        for j in range(len(pf) - 2):
             assert polyrec.lo_polynomial_residual(seqs, j).is_zero
+
+
+def _perturbed(seqs, j, rng, delta):
+    """seqs with one coefficient of Phat_j, Qhat_j, Phat_{j+1} or Qhat_{j+1}
+    moved by delta: the constant term, the leading term, or a new term
+    above the degree."""
+    name, i = rng.choice([("Phat", j), ("Qhat", j), ("Phat", j + 1), ("Qhat", j + 1)])
+    polys = list(getattr(seqs, name))
+    coeffs = list(polys[i].coeffs) or [0 * delta]
+    where = rng.choice(["constant", "leading", "above"])
+    if where == "above":
+        coeffs += [0 * delta] * rng.randint(0, 2) + [delta]
+    else:
+        coeffs[0 if where == "constant" else -1] += delta
+    polys[i] = Polynomial(coeffs)
+    return dataclasses.replace(seqs, **{name: tuple(polys)})
+
+
+def test_lo_residual_matches_the_products():
+    # nonzero residuals too, so the packed residual is unpacked; a moved
+    # constant prod_{i<j} b_i^2 as well, which alone may set the slot width
+    rng = random.Random(20)
+    nonzero = 0
+    for _ in range(150):
+        pf = random_pfraction(rng, rng.randint(2, 14))
+        seqs = polyrec.generate(pf, len(pf) - 1)
+        j = rng.randrange(len(pf) - 1)
+        delta = rng.choice([1, -1, F(1, 3), F(-7, 2), 2 ** 80, F(1, 2 ** 70)])
+        prods = list(seqs.b2_products)
+        prods[j] += delta
+        for bent in (_perturbed(seqs, j, rng, delta),
+                     dataclasses.replace(seqs, b2_products=tuple(prods))):
+            got = polyrec.lo_polynomial_residual(bent, j)
+            assert got == lo_residual_products(bent, j)  # numerators and denominator
+            nonzero += not got.is_zero
+    assert nonzero >= 250
+
+
+def test_float_lo_residual_is_the_products_bit_for_bit():
+    rng = random.Random(21)
+    for _ in range(20):
+        data = json.loads(random_pfraction(rng, 6).to_json())
+        for t in data["terms"]:
+            t["b_squared"] = repr(float(Fraction(t["b_squared"])))
+            t["p"] = [repr(float(Fraction(c))) for c in t["p"]]
+        seqs = polyrec.generate(PFraction.from_json(json.dumps(data)), 5)
+        assert isinstance(seqs.b2_products[1], float)
+        for j in range(4):
+            for s in (seqs, _perturbed(seqs, j, rng, rng.uniform(-1, 1))):
+                got = polyrec.lo_polynomial_residual(s, j)
+                want = lo_residual_products(s, j)
+                assert list(map(repr, got.coeffs)) == list(map(repr, want.coeffs))
 
 
 def test_lo_defect_small_at_random_points(rng):
