@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import gjmatrix, pade, periodic, polyrec, spectral
-from .errors import GJacobiError, InsufficientMoments, PoleAtLambda
+from .errors import GJacobiError, InsufficientMoments, OutOfRange, PoleAtLambda
 from .moments import MomentSequence, normal_indices, normalize
 from .pfraction import PFraction, PFractionTerm, expand, to_moments
 from .poly import Polynomial
@@ -80,7 +80,9 @@ def _parse_orders(text):
             out = [int(v) for v in text.split(",")]
     except ValueError:
         raise CliError(EXIT_PARSE, f"bad order list {text!r}")
-    if not out or any(j < 1 for j in out):
+    if not out:
+        raise CliError(EXIT_PARSE, f"empty order range {text!r}")
+    if any(j < 1 for j in out):
         raise CliError(EXIT_PARSE, "orders must be positive")
     return out
 
@@ -204,6 +206,8 @@ def cmd_certify(args):
     obj = _load_input(args.input, args.exact)
     lam = _parse_complex(args.lam)
     J = args.depth
+    if J < spectral.MIN_DEPTH:  # before 4J indexes anything
+        raise OutOfRange(f"need J >= {spectral.MIN_DEPTH}")
     deep = 4 * J  # the m-value is that of the truncation H_[0,4J]
     pf = _as_pfraction(obj, deep + 1, args.degree_cap)
     if len(pf) < deep + 1:

@@ -50,22 +50,24 @@ def companion(p: Polynomial) -> CompanionBlock:
     k = p.degree
     if k < 1:
         raise NotMonic("companion block needs degree >= 1")
-    c = p.coeffs  # p_0 ... p_k, p_k == 1
-    C = [[Fraction(0)] * k for _ in range(k)]
+    # p_0 ... p_k (p_k == 1) as Fractions; an exact p already holds them
+    c = p.coeffs if p.is_exact else tuple(map(Fraction, p.coeffs))
+    zero, one = Fraction(0), Fraction(1)  # shared by every entry they fill
+    C = [[zero] * k for _ in range(k)]
     for i in range(1, k):
-        C[i][i - 1] = Fraction(1)
+        C[i][i - 1] = one
     for i in range(k):
-        C[i][k - 1] = -Fraction(c[i])
+        C[i][k - 1] = -c[i]
     # E[i][j] = p_{i+j+1} for i+j+1 <= k, zero below the anti-diagonal
-    E = [[Fraction(c[i + j + 1]) if i + j + 1 <= k else Fraction(0)
+    E = [[c[i + j + 1] if i + j + 1 <= k else zero
           for j in range(k)] for i in range(k)]
     # E = J*L with L unit lower-triangular Toeplitz, l_m = p_{k-m};
     # the first column y of L^{-1}, the series 1/sum_m l_m z^m, gives
     # E^{-1}[i][j] = y_{i+j-k+1}
-    y = [Fraction(1)]
+    y = [one]
     for n in range(1, k):
         y.append(-sum(c[k - m] * y[n - m] for m in range(1, n + 1)))
-    E_inv = [[y[i + j - k + 1] if i + j - k + 1 >= 0 else Fraction(0)
+    E_inv = [[y[i + j - k + 1] if i + j - k + 1 >= 0 else zero
               for j in range(k)] for i in range(k)]
     return CompanionBlock(p=p, C=tuple(map(tuple, C)), E=tuple(map(tuple, E)),
                           E_inv=tuple(map(tuple, E_inv)))
@@ -114,7 +116,7 @@ class GJMatrix:
     def gram(self) -> tuple:
         """Blocks G_j = eps_j * E_{p_j}^{-1} of the block-diagonal metric."""
         return tuple(
-            tuple(tuple(t.epsilon * v for v in row) for row in blk.E_inv)
+            blk.E_inv if t.epsilon == 1 else tuple(tuple(-v for v in row) for row in blk.E_inv)
             for t, blk in zip(self.source, self.blocks)
         )
 

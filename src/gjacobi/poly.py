@@ -16,6 +16,9 @@ slot v + half (half = 2^(8 width - 1)) and takes the bias, half in every
 slot, off once; `_unpack` adds it back and reads each slot minus half, one
 conversion per coefficient either way.  The exact Liouville-Ostrogradsky
 residual of `polyrec` is evaluated on the same packings and slot widths.
+`poly_gcd`'s modular coprimality test runs Euclid over GF(P) on numpy int64
+arrays: P = 2^31 - 1, so residues below P have products below P^2 < 2^63,
+and each reduction row is one vectorised subtract and reduce.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as _int_gcd, lcm as _int_lcm
 
-_P = (1 << 61) - 1  # Mersenne prime of poly_gcd's modular coprimality test
+import numpy as np
+
+_P = (1 << 31) - 1  # Mersenne prime of poly_gcd's modular coprimality test; P^2 < 2^63
 PACK_ABOVE = 10  # _mul packs integer operands longer than this (crossover 10-12)
 
 
@@ -392,20 +397,25 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def _gcd_degree_mod_p(f, g):
     """Degree of gcd(f mod P, g mod P) by Euclid over GF(P); leading
-    coefficients must be nonzero mod P."""
-    f = [c % _P for c in f]
-    g = [c % _P for c in g]
-    while g:
-        inv = pow(g[-1], -1, _P)
-        g = [c * inv % _P for c in g]  # monic
+    coefficients must be nonzero mod P.
+
+    The residues are int64 arrays with entries in [0, P), so q g < P^2 <
+    2^63 and each reduction row is one vectorised subtract and reduce.
+    """
+    f = np.array([c % _P for c in f], dtype=np.int64)
+    g = np.array([c % _P for c in g], dtype=np.int64)
+    while len(g):
+        g = g * pow(g.item(-1), -1, _P) % _P  # monic
         dg = len(g) - 1
-        while len(f) > dg:
-            q, s = f.pop(), len(f) - dg
-            for k in range(dg):
-                f[s + k] = (f[s + k] - q * g[k]) % _P
-            while f and not f[-1]:
-                f.pop()
-        f, g = g, f
+        n = len(f)
+        while n > dg:  # one row: f -= f[n - 1] x^(n - 1 - dg) g, clearing f[n - 1]
+            row = f[n - 1 - dg:n]
+            row -= row.item(-1) * g
+            row %= _P
+            n -= 1
+            while n and not f.item(n - 1):
+                n -= 1
+        f, g = g, f[:n]
     return len(f) - 1
 
 

@@ -2,7 +2,10 @@
 
 All exact work lives in the monic-scaled sequences Phat_j, Qhat_j, which obey
 uhat_{j+1} = p_j uhat_j - eps_{j-1} eps_j b_{j-1}^2 uhat_{j-1} and involve
-only b^2.  The normalized P_j, Q_j (each Phat_j, Qhat_j divided by
+only b^2.  On exact data a step runs on integer numerators: one product
+of the block's numerators by uhat_j's, the scaled uhat_{j-1} subtracted over
+the common denominator, one reduction per polynomial.  Float data keep the
+Polynomial expression.  The normalized P_j, Q_j (each Phat_j, Qhat_j divided by
 b_0...b_{j-1}) exist only as float values, computed by the recurrence sweep
 of normalized_values without expanding any polynomial.  The periodic
 monodromy is built from the exact pair Phat_s, Qhat_s (see periodic).
@@ -18,8 +21,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import NotEnoughTerms, OutOfRange
-from .poly import (Polynomial, _pack, _product_bound, _slot_width, _unpack,
-                   poly_gcd)
+from .poly import (Polynomial, _mul, _pack, _product_bound, _slot_width,
+                   _unpack, poly_gcd)
 
 if TYPE_CHECKING:  # pfraction imports generate from this module
     from .pfraction import PFraction
@@ -57,11 +60,32 @@ def generate(pf: PFraction, j_max: int) -> OrthoSequences:
         prev = pf[j - 1]
         cur = pf[j]
         c = prev.epsilon * cur.epsilon * prev.b_squared
-        Phat.append(cur.p * Phat[j] - c * Phat[j - 1])
-        Qhat.append(cur.p * Qhat[j] - c * Qhat[j - 1])
+        Phat.append(_step(cur.p, c, Phat[j], Phat[j - 1]))
+        Qhat.append(_step(cur.p, c, Qhat[j], Qhat[j - 1]))
         b2 = cur.b_squared
         prods.append(None if b2 is None else prods[j] * b2)
     return OrthoSequences(tuple(Phat), tuple(Qhat), tuple(prods), pf)
+
+
+def _step(p, c, u, u_prev):
+    """p u - c u_prev for the nonzero u of a recurrence step.
+
+    On exact data this is one integer expression over the common
+    denominator D of the two products: with p = pn/pd, u = un/ud,
+    u_prev = vn/vd and c = cn/cd, the numerator is
+    (D/(pd ud)) pn un - cn (D/(cd vd)) vn, one `_mul` with the second
+    term as its accumulator, reduced once.  Float data keep the Polynomial
+    expression.
+    """
+    if not (isinstance(c, (int, Fraction)) and p.is_exact and u.is_exact
+            and u_prev.is_exact):
+        return p * u - c * u_prev
+    (pn, pd), (un, ud), (vn, vd) = (w.as_integer_ratio() for w in (p, u, u_prev))
+    cn, cd = c.as_integer_ratio()
+    D = math.lcm(pd * ud, cd * vd)
+    f, g = D // (pd * ud), cn * (D // (cd * vd))
+    num = _mul([f * v for v in pn], un, [-g * v for v in vn])
+    return Polynomial.from_integer_ratio(num, D)
 
 
 def normalized_values(pf: PFraction, lam, J: int):

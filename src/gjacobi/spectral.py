@@ -25,6 +25,7 @@ BOUNDED = "bounded_so_far"
 CERTIFIED = "certified_decay"
 INCONCLUSIVE = "inconclusive"
 VIOLATED = "violated"
+MIN_DEPTH = 4  # the least depth J of a resolvent certificate
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,8 @@ def resolvent_certificate(pf: PFraction, lam, m_value, J) -> Certificate:
     of the largest product of each gap (the power and the division are
     monotone).  The bounds C q^k of the deep third come from one table.
     """
-    if J < 4:
-        raise OutOfRange("need J >= 4")
+    if J < MIN_DEPTH:
+        raise OutOfRange(f"need J >= {MIN_DEPTH}")
     lam = complex(lam)
     P, Q = normalized_values(pf, lam, J)
     W = _stabilized_weyl(pf, lam, complex(m_value), P, Q)

@@ -8,7 +8,10 @@ spectrum CSV is written one cell at a time, where the program formats each
 distinct value of a column once.  The resolvent certificate loops over the
 pairs (i, j) in Python, where the program works on numpy blocks of them.
 The Liouville-Ostrogradsky residual is built from Polynomial products, where
-the program evaluates it as one packed integer.
+the program evaluates it as one packed integer, and so is every step of the
+recurrence, where the program runs exact steps on integer numerators.  The
+gcd degree mod P runs Euclid on lists of Python integers, where the program
+reduces numpy int64 rows.
 """
 
 from fractions import Fraction
@@ -17,8 +20,9 @@ from itertools import accumulate
 from gjacobi.errors import AllZero, InsufficientMoments
 from gjacobi.moments import normalize
 from gjacobi.pfraction import PFraction, PFractionTerm
+from gjacobi import poly
 from gjacobi.poly import Polynomial
-from gjacobi.polyrec import generate, normalized_values
+from gjacobi.polyrec import OrthoSequences, generate, normalized_values
 from gjacobi.spectral import (CERTIFIED, INCONCLUSIVE, VIOLATED, Certificate,
                               _stabilized_weyl)
 
@@ -191,3 +195,39 @@ def lo_residual_products(seqs, j):
     eps = seqs.source[j].epsilon
     wron = seqs.Qhat[j + 1] * seqs.Phat[j] - seqs.Qhat[j] * seqs.Phat[j + 1]
     return eps * wron - Polynomial((seqs.b2_products[j],))
+
+
+def generate_products(pf, j_max):
+    """polyrec.generate with every step the Polynomial expression
+    p_j uhat_j - eps_{j-1} eps_j b_{j-1}^2 uhat_{j-1}."""
+    Phat = [Polynomial.one(), pf[0].p]
+    Qhat = [Polynomial.zero(), Polynomial((pf[0].epsilon,))]
+    prods = [1, pf[0].b_squared]
+    for j in range(1, j_max):
+        prev, cur = pf[j - 1], pf[j]
+        c = prev.epsilon * cur.epsilon * prev.b_squared
+        Phat.append(cur.p * Phat[j] - c * Phat[j - 1])
+        Qhat.append(cur.p * Qhat[j] - c * Qhat[j - 1])
+        b2 = cur.b_squared
+        prods.append(None if b2 is None else prods[j] * b2)
+    return OrthoSequences(tuple(Phat), tuple(Qhat), tuple(prods), pf)
+
+
+def gcd_degree_mod_p(f, g):
+    """poly._gcd_degree_mod_p by Euclid over GF(P), P = poly._P, on lists of
+    Python integers; leading coefficients must be nonzero mod P."""
+    P = poly._P
+    f = [c % P for c in f]
+    g = [c % P for c in g]
+    while g:
+        inv = pow(g[-1], -1, P)
+        g = [c * inv % P for c in g]  # monic
+        dg = len(g) - 1
+        while len(f) > dg:
+            q, s = f.pop(), len(f) - dg
+            for k in range(dg):
+                f[s + k] = (f[s + k] - q * g[k]) % P
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1

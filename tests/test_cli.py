@@ -256,6 +256,20 @@ def test_certify_refuses_too_few_terms(catalan_file, tmp_path, capsys):
     assert main(["certify", str(path), "--lambda", "3,0", "--depth", "10"]) == 3
 
 
+@pytest.mark.parametrize("depth", ["-1", "0", "3"])
+def test_certify_names_the_least_depth(tmp_path, capsys, depth):
+    # the depth is checked before 4*depth indexes the terms
+    path = tmp_path / "catalan162.json"
+    path.write_text(catalan_pfraction(162).to_json())
+    assert main(["certify", str(path), "--lambda", "3,0", "--depth", depth]) == 3
+    assert capsys.readouterr().err == "error: need J >= 4\n"
+
+
+def test_pade_names_an_empty_order_range(catalan_file, capsys):
+    assert main(["pade", catalan_file, "--lambda", "3,0", "--orders", "5..2"]) == 2
+    assert capsys.readouterr().err == "error: empty order range '5..2'\n"
+
+
 def test_certify_expands_moments_to_the_terms_it_reads(tmp_path, capsys):
     # depth 4 reads 17 terms; 2*n_18 + 2 moments determine all of them
     pf = random_pfraction(random.Random(11), 19)

@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gjacobi import poly
 from gjacobi.poly import (PACK_ABOVE, Polynomial, _mul, _pack, _product_bound,
                           _unpack, poly_gcd)
-from oracles import schoolbook, series_div
+from oracles import gcd_degree_mod_p, schoolbook, series_div
 
 F = Fraction
 x = Polynomial.x()
@@ -26,8 +28,6 @@ exact_scalars = st.one_of(
     small_fracs,
 )
 exact_coeffs = st.lists(exact_scalars, min_size=1, max_size=12)
-
-P61 = 2 ** 61 - 1
 
 
 def test_trim_and_degree():
@@ -252,7 +252,6 @@ def test_mul_commutes_and_matches_eval(a, b):
 
 
 def test_karatsuba_matches_schoolbook():
-    import random
     rng = random.Random(7)
     a = Polynomial([F(rng.randint(-9, 9)) for _ in range(150)] + [F(1)])
     b = Polynomial([F(rng.randint(-9, 9)) for _ in range(130)] + [F(1)])
@@ -293,21 +292,76 @@ def test_gcd_matches_euclidean_oracle(rng):
         assert got.degree >= g.degree or g.degree == 0
 
 
-def test_gcd_coprime_pair_sharing_a_factor_mod_p():
+@pytest.fixture
+def prem_calls(monkeypatch):
+    """The number of _int_prem calls so far: the subresultant fallback ran
+    when it is not zero."""
+    calls = []
+    prem = poly._int_prem
+    monkeypatch.setattr(poly, "_int_prem", lambda f, g: calls.append(1) or prem(f, g))
+    return calls
+
+
+def test_gcd_coprime_pair_sharing_a_factor_mod_p(prem_calls):
     # coprime over Q, but x + P is x modulo P: the modular image is not
     # a proof here, and the exact remainder sequence decides
-    assert poly_gcd(x, x + P61) == Polynomial.one()
-    assert poly_gcd(x + P61, x) == Polynomial.one()
+    P = poly._P
+    assert poly_gcd(x, x + P) == Polynomial.one()
+    assert prem_calls
+    prem_calls.clear()
+    assert poly_gcd(x + P, x) == Polynomial.one()
+    assert prem_calls
 
 
-def test_gcd_leading_coefficient_divisible_by_p():
+def test_gcd_leading_coefficient_divisible_by_p(prem_calls):
     # h = P x + 1 vanishes from both images mod P, where the cofactors x + 1
     # and x - 1 are coprime; the gcd must still be h, made monic
-    h = Polynomial([1, P61])
+    P = poly._P
+    h = Polynomial([1, P])
     f, g = h * (x + 1), h * (x - 1)
-    want = Polynomial([F(1, P61), 1])
+    want = Polynomial([F(1, P), 1])
     assert poly_gcd(f, g) == want == _euclid_gcd(f, g)
-    assert poly_gcd(Polynomial([1, P61]), x) == Polynomial.one()
+    assert prem_calls
+    prem_calls.clear()
+    assert poly_gcd(Polynomial([1, P]), x) == Polynomial.one()
+    assert prem_calls
+
+
+def test_gcd_coprime_pair_mod_p_skips_the_fallback(prem_calls):
+    assert poly_gcd(x + 2, x + 3) == Polynomial.one()
+    assert not prem_calls
+
+
+def _int_poly(rng, degree, bits):
+    """Integer coefficients of both signs up to 2**bits, of the given degree
+    with a leading coefficient that P does not divide."""
+    c = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(degree + 1)]
+    while not c[-1] % poly._P:
+        c[-1] = rng.randint(-2 ** bits, 2 ** bits)
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), common=st.integers(0, 3),
+       bits=st.sampled_from([2, 40, 200]), lift=st.booleans())
+def test_gcd_degree_mod_p_matches_the_list_oracle(seed, common, bits, lift):
+    # a planted common factor of degree 0-3; with lift, every coefficient
+    # but the leading one also moves by a multiple of P, so the pair is
+    # still the planted one mod P but (almost surely) coprime over Q, and
+    # the remainder sequence vanishes mod P before its end
+    rng = random.Random(seed)
+    h = _int_poly(rng, common, bits)
+    f = _mul(h, _int_poly(rng, rng.randint(0, 6), bits))
+    g = _mul(h, _int_poly(rng, rng.randint(0, 6), bits))
+    if lift:
+        f = [c + poly._P * rng.randint(-2 ** bits, 2 ** bits) for c in f[:-1]] + f[-1:]
+        g = [c + poly._P * rng.randint(-2 ** bits, 2 ** bits) for c in g[:-1]] + g[-1:]
+    if not (f[-1] % poly._P and g[-1] % poly._P):
+        return
+    want = gcd_degree_mod_p(f, g)
+    assert want >= common
+    assert poly._gcd_degree_mod_p(f, g) == want
+    assert poly._gcd_degree_mod_p(g, f) == want
 
 
 def _times(series, c, n):

@@ -10,7 +10,7 @@ from gjacobi import periodic, polyrec
 from gjacobi.errors import NotEnoughTerms, OutOfRange
 from gjacobi.pfraction import PFraction, PFractionTerm
 from gjacobi.poly import Polynomial
-from oracles import lo_residual_products
+from oracles import generate_products, lo_residual_products
 
 F = Fraction
 x = Polynomial.x()
@@ -97,6 +97,48 @@ def test_float_lo_residual_is_the_products_bit_for_bit():
                 got = polyrec.lo_polynomial_residual(s, j)
                 want = lo_residual_products(s, j)
                 assert list(map(repr, got.coeffs)) == list(map(repr, want.coeffs))
+
+
+def _float_parsed(pf):
+    """pf read back from its JSON with every scalar a decimal float."""
+    data = json.loads(pf.to_json())
+    for t in data["terms"]:
+        if t["b_squared"] is not None:
+            t["b_squared"] = repr(float(Fraction(t["b_squared"])))
+        t["p"] = [repr(float(Fraction(c))) for c in t["p"]]
+    return PFraction.from_json(json.dumps(data))
+
+
+def _with_couplings(pf, coupling):
+    """pf with coupling(j, b_squared) for the coupling of every term j that
+    has one."""
+    return PFraction(tuple(t if t.b_squared is None else
+                           dataclasses.replace(t, b_squared=coupling(j, t.b_squared))
+                           for j, t in enumerate(pf.terms)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_generate_matches_the_polynomial_expression(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 24)
+    exact = random_pfraction(rng, n, last_open=seed % 2 == 1)
+    integer = _with_couplings(exact, lambda j, b2: rng.randint(1, 9))
+    for pf in (exact, integer):
+        got, want = polyrec.generate(pf, n), generate_products(pf, n)
+        for a, b in zip(got.Phat + got.Qhat, want.Phat + want.Qhat):
+            assert a.is_exact and a.as_integer_ratio() == b.as_integer_ratio()
+        assert got.b2_products == want.b2_products
+        assert list(map(type, got.b2_products)) == list(map(type, want.b2_products))
+    # float data, and exact blocks with a float coupling at term i, so the
+    # steps after it are float: the Polynomial expression, bit for bit
+    i = rng.randrange(n - 2)
+    mixed = _with_couplings(exact, lambda j, b2: float(b2) if j == i else b2)
+    for pf in (_float_parsed(exact), mixed):
+        got, want = polyrec.generate(pf, n), generate_products(pf, n)
+        assert not got.Phat[-1].is_exact
+        for a, b in zip(got.Phat + got.Qhat, want.Phat + want.Qhat):
+            assert list(map(repr, a.coeffs)) == list(map(repr, b.coeffs))
+        assert list(map(repr, got.b2_products)) == list(map(repr, want.b2_products))
 
 
 def test_lo_defect_small_at_random_points(rng):
