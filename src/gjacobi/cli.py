@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from itertools import accumulate
 
-from . import gjmatrix, pade, periodic, polyrec, spectral
+from . import pade, periodic, polyrec, spectral
 from .errors import GJacobiError, InsufficientMoments, OutOfRange, PoleAtLambda
 from .moments import MomentSequence, normal_indices, normalize
 from .pfraction import PFraction, PFractionTerm, expand, to_moments
@@ -208,13 +208,12 @@ def cmd_certify(args):
     J = args.depth
     if J < spectral.MIN_DEPTH:  # before 4J indexes anything
         raise OutOfRange(f"need J >= {spectral.MIN_DEPTH}")
-    deep = 4 * J  # the m-value is that of the truncation H_[0,4J]
+    deep = 4 * J  # m and W are those of the truncation H_[0,4J]
     pf = _as_pfraction(obj, deep + 1, args.degree_cap)
     if len(pf) < deep + 1:
         raise CliError(EXIT_DATA, f"certify --depth {J} needs {deep + 1} terms, "
                                   f"the input gives {len(pf)}")
-    m_value = gjmatrix.m_truncation(pf, deep, lam)
-    cert = spectral.resolvent_certificate(pf, lam, m_value, J)
+    cert = spectral.resolvent_certificate(PFraction(pf.terms[:deep + 1]), lam, J)
     _write(args.out, cert.to_json())
     return EXIT_OK
 

@@ -296,31 +296,59 @@ def m_truncation(pf: PFraction, j: int, lam) -> complex:
     """
     if not 0 <= j < len(pf):
         raise OutOfRange(f"j={j} outside [0, {len(pf) - 1}]")
-    return -_continued_fraction(pf.terms[:j + 1], lam)
+    return weyl_sweep(pf.terms[:j + 1], lam, 0)[0]
 
 
-def _continued_fraction(terms, lam) -> complex:
-    """F_0 of F_i = eps_i / (p_i(lam) - eps_i b_i^2 F_{i+1}), F past the end 0.
+def weyl_sweep(terms, lam, J):
+    """(m, [W_0..W_J], residual) of the truncation the terms make.
 
-    Evaluated backward (Gautschi's stable direction for the minimal
-    solution).  A zero denominator at an inner level i makes F_{i-1}
-    exactly 0; a denominator within the scaled tolerance at level 0
-    means lam is an eigenvalue of the truncation.
+    One backward sweep of F_i = eps_i / (p_i(lam) - eps_i b_i^2 F_{i+1}) from
+    the last term, F past the end 0 (Gautschi's stable direction for the
+    minimal solution), gives m = -F_0 and the Weyl solution W_j = Q_j + m P_j
+    as W_0 = m, W_j = W_{j-1} eps_{j-1} b_{j-1} F_j: a product with no
+    subtraction, so no cancellation.  A zero denominator at an inner level i
+    makes F_i infinite and F_{i-1} exactly 0, so W_{i-1} = 0 and W_i is one
+    forward step of the recurrence; a denominator within the scaled
+    tolerance at level 0 means lam is an eigenvalue of the truncation.  The
+    residual of eps_{j-1} eps_j b_{j-1} W_{j-1} - p_j W_j + b_j W_{j+1} is
+    the largest over 0 < j < J, relative to its largest term (or 1).
     """
+    if not 0 <= J < len(terms):
+        raise OutOfRange(f"J={J} outside [0, {len(terms) - 1}]")
     lam = complex(lam)
-    f, i = 0j, len(terms) - 1
-    while i >= 0:
+    F, p_at = [0j] * (J + 1), [0j] * (J + 1)
+    f = 0j  # F_{i+1}; None where it is infinite
+    for i in range(len(terms) - 1, -1, -1):
         t = terms[i]
         p = complex(t.p.as_float()(lam))
-        tail = t.epsilon * t.b_squared_float * f if f else 0j
-        den = p - tail
-        if i == 0 and abs(den) <= 1e-13 * max(1.0, abs(p), abs(tail)):
-            raise PoleAtLambda(f"lambda={lam} is an eigenvalue of the truncation")
-        if den == 0:  # F_i is infinite, so F_{i-1} = 0
-            f, i = 0j, i - 2
+        if f is None:
+            f = 0j
         else:
-            f, i = t.epsilon / den, i - 1
-    return f
+            tail = t.epsilon * t.b_squared_float * f if f else 0j
+            den = p - tail
+            if i == 0 and abs(den) <= 1e-13 * max(1.0, abs(p), abs(tail)):
+                raise PoleAtLambda(f"lambda={lam} is an eigenvalue of the truncation")
+            f = t.epsilon / den if den else None
+        if i <= J:
+            F[i], p_at[i] = f, p
+    W = [-F[0]]
+    for j in range(1, J + 1):
+        prev = terms[j - 1]
+        if F[j] is None:  # W_{j-1} = 0: W_j from W_{j-2}, W_{-1} = -1
+            back = (terms[j - 2].epsilon * terms[j - 2].b_float * W[j - 2]
+                    if j > 1 else -1 + 0j)
+            W.append(-back * prev.epsilon / prev.b_float)
+        else:
+            W.append(W[j - 1] * prev.epsilon * prev.b_float * F[j])
+    worst = 0.0
+    for j in range(1, J):
+        prev, cur = terms[j - 1], terms[j]
+        t1 = prev.epsilon * cur.epsilon * prev.b_float * W[j - 1]
+        t2 = -p_at[j] * W[j]
+        t3 = cur.b_float * W[j + 1]
+        scale = max(abs(t1), abs(t2), abs(t3), 1.0)
+        worst = max(worst, abs(t1 + t2 + t3) / scale)
+    return W[0], W, worst
 
 
 # -- moments ----------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Weyl solutions, point-spectrum probes and resolvent-point certificates.
+"""Resolvent-point certificates and formal resolvent columns.
+
+Both read the Weyl solution W_j = Q_j + m P_j from one backward sweep over
+the terms they are given (`gjmatrix.weyl_sweep`), which also gives m.
 
 A point lambda is numerically certified as a resolvent point when the decay
 envelope |P_i(lambda) W_j(lambda)| <= C q^{n_j - n_i} (q < 1) fitted on the
@@ -15,65 +18,14 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import BadIndex, OutOfRange, TruncationTooShallow
-from .gjmatrix import GJMatrix
+from .gjmatrix import GJMatrix, weyl_sweep
 from .pfraction import PFraction
 from .polyrec import normalized_values
-
-DIVERGENT = "divergent"
-BOUNDED = "bounded_so_far"
 
 CERTIFIED = "certified_decay"
 INCONCLUSIVE = "inconclusive"
 VIOLATED = "violated"
 MIN_DEPTH = 4  # the least depth J of a resolvent certificate
-
-
-@dataclass(frozen=True)
-class WeylData:
-    """Candidate square-summable solution W_j = Q_j + m P_j at one point."""
-
-    lam: complex
-    m_value: complex
-    depth: int
-    W: tuple
-    max_recurrence_residual: float
-
-
-def weyl_solution(pf: PFraction, lam, m_value, J) -> WeylData:
-    """Combination W_j = Q_j(lam) + m_value P_j(lam), with residual check.
-
-    The residual of eps_{j-1} eps_j b_{j-1} W_{j-1} - p_j W_j + b_j W_{j+1}
-    is recorded relative to the magnitude of its largest term.
-    """
-    lam = complex(lam)
-    m = complex(m_value)
-    P, Q = normalized_values(pf, lam, J)
-    W = [q + m * p for p, q in zip(P, Q)]
-    worst = 0.0
-    for j in range(1, J):
-        prev, cur = pf[j - 1], pf[j]
-        t1 = prev.epsilon * cur.epsilon * prev.b_float * W[j - 1]
-        t2 = -complex(cur.p.as_float()(lam)) * W[j]
-        t3 = cur.b_float * W[j + 1]
-        scale = max(abs(t1), abs(t2), abs(t3), 1.0)
-        worst = max(worst, abs(t1 + t2 + t3) / scale)
-    return WeylData(lam=lam, m_value=m, depth=J, W=tuple(W),
-                    max_recurrence_residual=worst)
-
-
-def point_spectrum_test(pf: PFraction, lam, J, threshold=0.05) -> str:
-    """Eigenvalue probe: does sum |P_j(lam)|^2 look divergent at depth J?
-
-    "divergent" when the terms grow monotonically by a factor above
-    1 + threshold over the last J/2 indices; otherwise "bounded_so_far".
-    """
-    if J < 2:
-        raise OutOfRange("need J >= 2")
-    P, _ = normalized_values(pf, lam, J)
-    terms = [abs(p) ** 2 for p in P]
-    tail = terms[J // 2:]
-    grows = all(b > (1.0 + threshold) * a for a, b in zip(tail, tail[1:]))
-    return DIVERGENT if grows else BOUNDED
 
 
 @dataclass(frozen=True)
@@ -97,13 +49,15 @@ class Certificate:
         })
 
 
-def resolvent_certificate(pf: PFraction, lam, m_value, J) -> Certificate:
+def resolvent_certificate(pf: PFraction, lam, J) -> Certificate:
     """Fit C, q on depths up to 2J/3 and test the envelope on the rest.
 
     certified_decay: q < 1, the deep-third envelope holds, and
     limsup |P_j|^{1/n_j} > 1.  violated: q >= 1, or the envelope fails at
     every depth of the deep third.  Anything in between is inconclusive.
-    The fraction needs J + 9 terms (TruncationTooShallow otherwise).
+    m and W come from one backward sweep over every term of pf, which needs
+    J + 9 terms (TruncationTooShallow otherwise) and raises PoleAtLambda at
+    an eigenvalue of that truncation.
 
     The pairs (i, j) are handled as numpy blocks of rows, with the float
     operations of a loop over pairs, so the results are those of that loop
@@ -115,8 +69,8 @@ def resolvent_certificate(pf: PFraction, lam, m_value, J) -> Certificate:
     if J < MIN_DEPTH:
         raise OutOfRange(f"need J >= {MIN_DEPTH}")
     lam = complex(lam)
-    P, Q = normalized_values(pf, lam, J)
-    W = _stabilized_weyl(pf, lam, complex(m_value), P, Q)
+    P, _ = normalized_values(pf, lam, J)
+    W = _weyl_values(pf, lam, J)
     n = list(accumulate((t.degree for t in pf.terms[:J]), initial=0))
     # Python's abs: numpy's complex abs differs from it in the last bit
     absP = [abs(v) for v in P]
@@ -177,46 +131,13 @@ def _pair_blocks(aP, aW, n, lo, hi, width):
                n[a:b, None] - n[None, :width])
 
 
-def _stabilized_weyl(pf, lam, m, P, Q):
-    """W_j for j < len(P), safe from the cancellation in Q_j + m P_j at depth.
-
-    The direct combination loses all digits once |W_j| drops below the
-    rounding noise of its terms.  A backward (minimal-solution) recurrence
-    from well past J avoids that; it is trusted only where it reproduces the
-    direct values on the indices the direct formula still resolves.  It
-    starts at least 8 terms past J, so the fraction needs J + 9 terms.
-    """
-    J = len(P) - 1
+def _weyl_values(pf, lam, J):
+    """W_0..W_J from one sweep over every term of pf.  The sweep starts at
+    least 8 terms past J, so the fraction needs J + 9 terms."""
     if len(pf) < J + 9:
         raise TruncationTooShallow(f"Weyl values through depth {J} need "
                                    f"{J + 9} terms, the fraction has {len(pf)}")
-    W_direct = [q + m * p for p, q in zip(P, Q)]
-    L = min(len(pf) - 1, J + 16)
-    # b_L multiplies u_{L+1} = 0 only, so an open last term L is harmless
-    b = [pf[j].b_float for j in range(L)] + [0.0]
-    p = [pf[j].p.as_float() for j in range(L + 1)]
-    u = [0j] * (L + 2)
-    u[L + 1], u[L] = 0j, 1.0 + 0j
-    for j in range(L, 0, -1):
-        u[j - 1] = ((complex(p[j](lam)) * u[j] - b[j] * u[j + 1])
-                    / (pf[j - 1].epsilon * pf[j].epsilon * b[j - 1]))
-        big = abs(u[j - 1])
-        if big > 1e200:
-            u = [v / big for v in u]
-    if u[0] == 0:
-        return W_direct
-    c = m / u[0]
-    checked = False
-    for j in range(J + 1):
-        mag = abs(Q[j]) + abs(m) * abs(P[j])
-        if abs(W_direct[j]) <= 1e-6 * mag:
-            continue
-        checked = True
-        if abs(c * u[j] - W_direct[j]) > 1e-4 * (abs(W_direct[j]) + 1e-300):
-            return W_direct
-    if not checked:
-        return W_direct
-    return [c * u[j] for j in range(J + 1)]
+    return weyl_sweep(pf.terms, lam, J)[1]
 
 
 @dataclass(frozen=True)
@@ -225,16 +146,16 @@ class ResolventColumn:
     residual: float  # ||(H - lam) x - e_{j,k}|| over the truncation
 
 
-def formal_resolvent_column(gj: GJMatrix, lam, m_value, j, k,
-                            trunc) -> ResolventColumn:
+def formal_resolvent_column(gj: GJMatrix, lam, j, k, trunc) -> ResolventColumn:
     """Column of the formal resolvent applied to the basis vector e_{j,k}.
 
     x(j,k) = e_{j,k-1} + lam e_{j,k-2} + ... +
              lam^k (-P_j xi_[0,j] + Q_j pi_[0,j] + P_j (xi + m pi)),
     where pi and xi apply the inverse metric blocks eps_i E_{p_i} to the
     stacked vectors (lam^l P_i) and (lam^l Q_i); the tail combination
-    xi + m pi is built from stabilized Weyl values so deep coordinates do
-    not drown in cancellation noise.  The residual of (H - lam) x = e_{j,k}
+    xi + m pi is built from the Weyl values of one backward sweep over every
+    block of gj, m included, so deep coordinates do not drown in
+    cancellation noise.  The residual of (H - lam) x = e_{j,k}
     is taken over the whole truncation, so it is dominated by the dropped
     coupling at the cut and decays as trunc grows at resolvent points.
     """
@@ -247,12 +168,11 @@ def formal_resolvent_column(gj: GJMatrix, lam, m_value, j, k,
             f"index block {j} must lie at least one block inside trunc={trunc}"
         )
     lam = complex(lam)
-    m = complex(m_value)
     offs, _ = gj.block_offsets()
     dim = gj.dim(trunc)
 
     P, Q = normalized_values(gj.source, lam, trunc - 1)
-    W = _stabilized_weyl(gj.source, lam, m, P, Q)
+    W = _weyl_values(gj.source, lam, trunc - 1)
 
     def metric_apply(i, base):
         """eps_i E_{p_i} applied to (base, lam*base, ..., lam^{k_i-1}*base)."""
@@ -270,7 +190,7 @@ def formal_resolvent_column(gj: GJMatrix, lam, m_value, j, k,
             out[offs[i]:offs[i] + len(seg)] = seg
         return out
 
-    tail = stacked(W, trunc)           # xi + m pi via stabilized Weyl values
+    tail = stacked(W, trunc)           # xi + m pi via the Weyl values
     pi_j = stacked(P, j + 1)
     xi_j = stacked(Q, j + 1)
 

@@ -18,13 +18,13 @@ from fractions import Fraction
 from itertools import accumulate
 
 from gjacobi.errors import AllZero, InsufficientMoments
+from gjacobi.gjmatrix import weyl_sweep
 from gjacobi.moments import normalize
 from gjacobi.pfraction import PFraction, PFractionTerm
 from gjacobi import poly
 from gjacobi.poly import Polynomial
 from gjacobi.polyrec import OrthoSequences, generate, normalized_values
-from gjacobi.spectral import (CERTIFIED, INCONCLUSIVE, VIOLATED, Certificate,
-                              _stabilized_weyl)
+from gjacobi.spectral import CERTIFIED, INCONCLUSIVE, VIOLATED, Certificate
 
 
 def series_div(num, den, n):
@@ -147,13 +147,13 @@ def scan_csv(sc):
     return "\n".join(lines) + "\n"
 
 
-def certificate_loops(pf, lam, m_value, J):
+def certificate_loops(pf, lam, J):
     """spectral.resolvent_certificate pair by pair: the O(J^2) loops over
     i <= j that fit C and q on the depths up to 2J/3 and test the envelope
-    on the rest."""
+    on the rest, with W from the backward sweep over every term of pf."""
     lam = complex(lam)
-    P, Q = normalized_values(pf, lam, J)
-    W = _stabilized_weyl(pf, lam, complex(m_value), P, Q)
+    P, _ = normalized_values(pf, lam, J)
+    _, W, _ = weyl_sweep(pf.terms, lam, J)
     n = list(accumulate((t.degree for t in pf.terms[:J]), initial=0))
     fit_hi = max(2, (2 * J) // 3)
     C = max(abs(P[i]) * abs(W[j])

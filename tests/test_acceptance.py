@@ -138,12 +138,10 @@ def test_criterion_5_convergence_rate():
 
 def test_criterion_6_resolvent_certificates():
     pf = catalan_pfraction(60)
-    c_res = spectral.resolvent_certificate(pf, 3.0, M3, 40)
-    m_half = gm.m_truncation(catalan_pfraction(61), 60, 0.5)
-    c_spec = spectral.resolvent_certificate(pf, 0.5, m_half, 40)
+    c_res = spectral.resolvent_certificate(pf, 3.0, 40)
+    c_spec = spectral.resolvent_certificate(pf, 0.5, 40)
     pf64 = example64_pfraction(60)
-    m64 = gm.m_truncation(pf64, 55, 1 + 1j)
-    c_64 = spectral.resolvent_certificate(pf64, 1 + 1j, m64, 40)
+    c_64 = spectral.resolvent_certificate(pf64, 1 + 1j, 40)
     _verdict(6, "resolvent certificates",
              c_res.verdict == "certified_decay" and 0.35 <= c_res.q <= 0.42
              and c_spec.verdict != "certified_decay"
