@@ -77,6 +77,21 @@ def test_weyl_sweep_through_zero_denominators():
         gm.weyl_sweep(catalan_pfraction(5).terms, 3.0, 5)
 
 
+def test_point_spectrum_probe():
+    # the growth of P, which point_spectrum_test used to probe, is the
+    # certificate's limsup |P_j|^{1/n_j} over the deep third
+    pf = _catalan_pf(30)
+    assert spectral.resolvent_certificate(pf, 3.0, 30).limsup_root > 1.0 + 1e-9
+    assert spectral.resolvent_certificate(pf, 0.0, 30).limsup_root <= 1.0 + 1e-9
+    with pytest.raises(OutOfRange):
+        spectral.resolvent_certificate(pf, 3.0, 1)
+
+
+def test_point_spectrum_example64_resolvent_point():
+    pf = example64_pfraction(50)
+    assert spectral.resolvent_certificate(pf, 1 + 1j, 30).limsup_root > 1.0 + 1e-9
+
+
 def test_certificate_catalan_resolvent():
     pf = _catalan_pf(40)
     cert = spectral.resolvent_certificate(pf, 3.0, 40)
