@@ -85,13 +85,6 @@ class GJMatrix:
     def n_blocks(self):
         return len(self.blocks)
 
-    def block_offsets(self):
-        offs, acc = [], 0
-        for blk in self.blocks:
-            offs.append(acc)
-            acc += blk.size
-        return offs, acc
-
     def dim(self, n_blocks=None):
         return sum(b.size for b in self.blocks[:n_blocks])
 

@@ -119,20 +119,20 @@ class PFraction:
     @classmethod
     def from_data(cls, data, exact_parse=False):
         # a periodic input repeats a few terms many times: each distinct
-        # term is parsed once and its PFractionTerm (immutable) is shared
+        # term is parsed once and its PFractionTerm (immutable) is shared.
+        # The key is the term's repr, which keeps 1, 1.0, "1" and true apart
+        # (1 == 1.0 == True) and -0.0 apart from 0.0: terms with equal keys
+        # parse alike, or both fail
         memo = {}
         terms = []
         for t in data["terms"]:
-            key = _term_key(t)
-            term = memo.get(key)  # None for a key of None: it is never stored
-            if term is None:
-                term = _parse_term(t, exact_parse)
-                if key is not None:
-                    memo[key] = term
-            terms.append(term)
+            key = repr(t)
+            if key not in memo:
+                memo[key] = _parse_term(t, exact_parse)
+            terms.append(memo[key])
         pf = cls(tuple(terms), status=data.get("status", STATUS_OPEN))
         cap = data.get("degree_cap")  # checked, not kept
-        if cap is not None and any(t.degree > cap for t in terms):
+        if cap is not None and any(t.degree > cap for t in memo.values()):
             raise ValueError("term degree exceeds degree_cap")
         return pf
 
@@ -147,29 +147,6 @@ def _parse_term(t, exact_parse):
         b_squared=None if b2 is None else parse_scalar(b2, exact_parse),
         p=_block([parse_ratio(c, exact_parse) for c in t["p"]]),
     )
-
-
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_MISSING = object()
-
-
-def _term_key(t):
-    """A key of the JSON values a term is read from, or None when the term
-    is not a dict of plain scalars and a list p (it is then parsed alone).
-
-    The key holds each value's type, so 1, 1.0, "1" and true stay apart
-    (1 == 1.0 == True), and floats by their repr, so -0.0 stays apart from
-    0.0: terms with equal keys parse alike, or both fail.
-    """
-    if type(t) is not dict or type(t.get("p")) is not list:
-        return None
-    values = (t.get("epsilon", _MISSING), t.get("b_squared"), *t["p"])
-    kinds = tuple(map(type, values))
-    if not _SCALARS.issuperset(kinds):  # a missing epsilon included
-        return None
-    if float in kinds:
-        values = tuple(repr(v) if type(v) is float else v for v in values)
-    return kinds, values
 
 
 def _block(values):

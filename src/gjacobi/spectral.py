@@ -1,7 +1,10 @@
 """Resolvent-point certificates and formal resolvent columns.
 
-Both read the Weyl solution W_j = Q_j + m P_j from one backward sweep over
-the terms they are given (`gjmatrix.weyl_sweep`), which also gives m.
+Both read one pair (P, W): the first-kind values P_j from the forward sweep
+and the Weyl solution W_j = Q_j + m P_j from one backward sweep over the
+terms they are given (`gjmatrix.weyl_sweep`), which also gives m.  The
+column's coordinates are the kernel P_min(i,j) W_max(i,j), one product per
+block.
 
 A point lambda is numerically certified as a resolvent point when the decay
 envelope |P_i(lambda) W_j(lambda)| <= C q^{n_j - n_i} (q < 1) fitted on the
@@ -69,8 +72,7 @@ def resolvent_certificate(pf: PFraction, lam, J) -> Certificate:
     if J < MIN_DEPTH:
         raise OutOfRange(f"need J >= {MIN_DEPTH}")
     lam = complex(lam)
-    P, _ = normalized_values(pf, lam, J)
-    W = _weyl_values(pf, lam, J)
+    P, W = _weyl_values(pf, lam, J)
     n = list(accumulate((t.degree for t in pf.terms[:J]), initial=0))
     # Python's abs: numpy's complex abs differs from it in the last bit
     absP = [abs(v) for v in P]
@@ -132,12 +134,14 @@ def _pair_blocks(aP, aW, n, lo, hi, width):
 
 
 def _weyl_values(pf, lam, J):
-    """W_0..W_J from one sweep over every term of pf.  The sweep starts at
-    least 8 terms past J, so the fraction needs J + 9 terms."""
+    """(P_0..P_J, W_0..W_J): P from the forward sweep, W from one backward
+    sweep over every term of pf.  The backward sweep starts at least 8
+    terms past J, so the fraction needs J + 9 terms."""
+    P, _ = normalized_values(pf, lam, J)
     if len(pf) < J + 9:
         raise TruncationTooShallow(f"Weyl values through depth {J} need "
                                    f"{J + 9} terms, the fraction has {len(pf)}")
-    return weyl_sweep(pf.terms, lam, J)[1]
+    return P, weyl_sweep(pf.terms, lam, J)[1]
 
 
 @dataclass(frozen=True)
@@ -149,15 +153,13 @@ class ResolventColumn:
 def formal_resolvent_column(gj: GJMatrix, lam, j, k, trunc) -> ResolventColumn:
     """Column of the formal resolvent applied to the basis vector e_{j,k}.
 
-    x(j,k) = e_{j,k-1} + lam e_{j,k-2} + ... +
-             lam^k (-P_j xi_[0,j] + Q_j pi_[0,j] + P_j (xi + m pi)),
-    where pi and xi apply the inverse metric blocks eps_i E_{p_i} to the
-    stacked vectors (lam^l P_i) and (lam^l Q_i); the tail combination
-    xi + m pi is built from the Weyl values of one backward sweep over every
-    block of gj, m included, so deep coordinates do not drown in
-    cancellation noise.  The residual of (H - lam) x = e_{j,k}
-    is taken over the whole truncation, so it is dominated by the dropped
-    coupling at the cut and decays as trunc grows at resolvent points.
+    x(j,k) = e_{j,k-1} + lam e_{j,k-2} + ... + lam^k y, where block i of y
+    is eps_i E_{p_i} applied to (K_i, lam K_i, ..., lam^{k_i-1} K_i) with
+    the kernel K_i = P_min(i,j) W_max(i,j): one product per block, the same
+    products |P_i W_j| that the certificate fits.  The residual of
+    (H - lam) x = e_{j,k} is taken over the whole truncation, so it is
+    dominated by the dropped coupling at the cut and decays as trunc grows
+    at resolvent points.
     """
     if trunc > gj.n_blocks:
         raise TruncationTooShallow(f"only {gj.n_blocks} blocks available")
@@ -168,44 +170,18 @@ def formal_resolvent_column(gj: GJMatrix, lam, j, k, trunc) -> ResolventColumn:
             f"index block {j} must lie at least one block inside trunc={trunc}"
         )
     lam = complex(lam)
-    offs, _ = gj.block_offsets()
-    dim = gj.dim(trunc)
-
-    P, Q = normalized_values(gj.source, lam, trunc - 1)
-    W = _weyl_values(gj.source, lam, trunc - 1)
-
-    def metric_apply(i, base):
-        """eps_i E_{p_i} applied to (base, lam*base, ..., lam^{k_i-1}*base)."""
-        blk = gj.blocks[i]
-        ki = blk.size
-        v = [base * lam ** l for l in range(ki)]
-        return [gj.source[i].epsilon
-                * sum(float(blk.E[r][c]) * v[c] for c in range(ki))
-                for r in range(ki)]
-
-    def stacked(values, upto):
-        out = [0j] * dim
-        for i in range(upto):
-            seg = metric_apply(i, values[i])
-            out[offs[i]:offs[i] + len(seg)] = seg
-        return out
-
-    tail = stacked(W, trunc)           # xi + m pi via the Weyl values
-    pi_j = stacked(P, j + 1)
-    xi_j = stacked(Q, j + 1)
-
-    Pj, Qj = P[j], Q[j]
-    x = [0j] * dim
-    for l in range(k):
-        x[offs[j] + k - 1 - l] += lam ** l
+    P, W = _weyl_values(gj.source, lam, trunc - 1)
     lk = lam ** k
-    for i in range(dim):
-        core = -Pj * xi_j[i] + Qj * pi_j[i] + Pj * tail[i]
-        x[i] += lk * core
+    x = []
+    for i, blk in enumerate(gj.blocks[:trunc]):
+        v = [lk * P[min(i, j)] * W[max(i, j)] * lam ** l for l in range(blk.size)]
+        eps = gj.source[i].epsilon
+        x += [eps * sum(float(e) * c for e, c in zip(row, v)) for row in blk.E]
+    at = gj.dim(j)  # the offset of block j
+    for l in range(k):
+        x[at + k - 1 - l] += lam ** l
 
     H = gj.dense_float(trunc).astype(complex)
-    xv = np.asarray(x)
-    r = (H - lam * np.eye(dim)) @ xv
-    r[offs[j] + k] -= 1.0
-    residual = float(np.linalg.norm(r))
-    return ResolventColumn(x=tuple(x), residual=residual)
+    r = (H - lam * np.eye(len(x))) @ np.asarray(x)
+    r[at + k] -= 1.0
+    return ResolventColumn(x=tuple(x), residual=float(np.linalg.norm(r)))

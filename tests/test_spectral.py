@@ -224,6 +224,23 @@ def test_resolvent_column_residual_shrinks_with_depth():
     assert res[0] > res[1] > res[2]
 
 
+def test_resolvent_column_deep_index():
+    # block i < j holds P_i W_j, the product of a value that grows with i and
+    # one that decays with j: any cancellation between terms of that size
+    # shows in the residual at these depths
+    rng = random.Random(5)
+    cases = [(catalan_pfraction(200), 3.0), (catalan_pfraction(200), 2.5),
+             (example64_pfraction(200), 1 + 1j)]
+    for _ in range(3):
+        pf = random_pfraction(rng, 200)
+        cases.append((pf, complex(rng.uniform(-2, 2), rng.uniform(0.5, 3))))
+    for pf, lam in cases:
+        H = gm.assemble(pf)
+        for j, trunc in ((20, 60), (60, 120), (100, 160)):
+            rc = spectral.formal_resolvent_column(H, lam, j, 0, trunc)
+            assert rc.residual <= 1e-12, (lam, j, trunc, rc.residual)
+
+
 def test_resolvent_column_errors():
     pf = catalan_pfraction(10)
     H = gm.assemble(pf)
