@@ -5,7 +5,8 @@ certify reads the 4*depth+1 terms of H_[0,4*depth] and invents none.
 
 Exit codes: 0 success, 1 internal error (a bug), 2 input parse failure or
 an unwritable --out, 3 any other library error (insufficient, degenerate or out-of-range data),
-4 pole at lambda, 5 the terms do not repeat with the period.
+4 pole at lambda, 5 the terms do not repeat with the period.  Arguments
+are parsed before any computation, so exit 2 comes before 3 and 5.
 """
 
 from __future__ import annotations
@@ -148,12 +149,12 @@ def cmd_pade(args):
     obj = _load_input(args.input, args.exact)
     orders = _parse_orders(args.orders)
     lam = _parse_complex(args.lam)
-    j_hi = max(orders)
-    pf = _as_pfraction(obj, j_hi + 1, args.degree_cap)
-    seqs = polyrec.generate(pf, j_hi)
     reference = REFERENCES.get(args.reference) if args.reference else None
     if args.reference and reference is None:
         raise CliError(EXIT_PARSE, f"unknown reference {args.reference!r}")
+    j_hi = max(orders)
+    pf = _as_pfraction(obj, j_hi + 1, args.degree_cap)
+    seqs = polyrec.generate(pf, j_hi)
     table = pade.convergence_run(seqs, lam, orders, reference)
     if all(r.value is None for r in table.rows):
         raise CliError(EXIT_POLE, "every requested order has a pole at lambda")
@@ -178,6 +179,8 @@ def cmd_spectrum(args):
     obj = _load_input(args.input, args.exact)
     if not isinstance(obj, PFraction):
         raise CliError(EXIT_PARSE, "spectrum needs a pfraction input")
+    region = _parse_region(args.region)
+    nx, ny = _parse_grid(args.grid)
     s = args.period
     if s < 1 or len(obj) % s != 0:
         raise CliError(EXIT_PERIOD,
@@ -189,11 +192,7 @@ def cmd_spectrum(args):
                 or t.b_squared not in (None, ref.b_squared)):
             raise CliError(EXIT_PERIOD,
                            f"term {j} differs from term {j % s}: not {s}-periodic")
-    pg = periodic.PeriodicGJM(pattern)
-    mono = periodic.monodromy(pg)
-    region = _parse_region(args.region)
-    nx, ny = _parse_grid(args.grid)
-    sc = periodic.scan(mono, pg, region, nx, ny, args.tol)
+    sc = periodic.scan(periodic.PeriodicGJM(pattern), region, nx, ny, args.tol)
     summary = sc.summary_json()
     if args.out:
         _write(args.out, sc.to_csv())
@@ -243,8 +242,7 @@ def cmd_selftest(args):
     ni = normal_indices(s, 6)
     checks.append(("normal-indices", ni == (1, 2, 3, 4, 5, 6)))
     per = periodic.PeriodicGJM((PFractionTerm(1, Fraction(1, 4), x * x),))
-    mono = periodic.monodromy(per)
-    checks.append(("monodromy-trace", mono.trace.coeffs == (0.0, 0.0, 2.0)))
+    checks.append(("monodromy-trace", per.trace.coeffs == (0.0, 0.0, 2.0)))
     ok = True
     for name, passed in checks:
         print(f"{name}: {'ok' if passed else 'FAIL'}")

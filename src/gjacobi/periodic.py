@@ -1,13 +1,13 @@
-"""Periodic coefficient data: monodromy matrix, Floquet multipliers, and the
-grid classification of the spectrum into the multiplier set E and the finite
-point set E_p.
+"""Periodic coefficient data and its monodromy: the transfer matrix over one
+period, the Floquet multipliers it gives, and the grid classification of the
+spectrum into the multiplier set E and the finite point set E_p.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,9 +27,25 @@ CSV_BLOCK = 8192  # rows assembled per step of SpectrumScan.to_csv
 
 @dataclass(frozen=True)
 class PeriodicGJM:
-    """One period of coefficient data, repeated cyclically."""
+    """One period of coefficient data, repeated cyclically, with its monodromy.
+
+    T is the transfer matrix over one period and trace its trace polynomial,
+    both built once from the exact recurrence pair at construction.  Entries:
+    T = [[-eps b Q_{s-1}, -Q_s], [eps b P_{s-1}, P_s]] with eps = eps_{s-1},
+    b = b_{s-1}; the multipliers at lambda are the roots of
+    w^2 - t(lambda) w + 1 = 0 where t = trace T.
+
+    With Pi = b_0^2 ... b_{s-1}^2 and c = eps_{s-1} b_{s-1}^2, T = Pi^(-1/2) M
+    for M = [[-c Qhat_{s-1}, -Qhat_s], [c Phat_{s-1}, Phat_s]].  det M = Pi is
+    the exact Liouville-Ostrogradsky identity at j = s-1, so det T = 1 up to
+    the one rounding of each entry to float.  Equality and repr are those of
+    the period data.
+    """
 
     terms: tuple  # s PFractionTerms, each with a coupling
+    # ((w11, w12), (w21, w22)), float Polynomials
+    T: tuple = field(init=False, repr=False, compare=False)
+    trace: Polynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -37,6 +53,16 @@ class PeriodicGJM:
             raise EmptyPFraction("period must contain at least one term")
         if any(t.b_squared is None for t in self.terms):
             raise OpenCoupling("periodic data needs a coupling on every term")
+        s = self.period
+        seqs = generate(self.unroll(s), s)
+        P, Q = seqs.Phat, seqs.Qhat
+        last = self.terms[-1]
+        c = last.epsilon * last.b_squared
+        scale = 1.0 / math.sqrt(float(seqs.b2_products[s]))
+        object.__setattr__(self, "T", tuple(
+            tuple(e.as_float().scale(scale) for e in row)
+            for row in ((-c * Q[s - 1], -Q[s]), (c * P[s - 1], P[s]))))
+        object.__setattr__(self, "trace", (P[s] - c * Q[s - 1]).as_float().scale(scale))
 
     @property
     def period(self):
@@ -48,20 +74,6 @@ class PeriodicGJM:
         terms = tuple(self.terms[i % s] for i in range(n_terms))
         return PFraction(terms)
 
-
-@dataclass(frozen=True)
-class Monodromy:
-    """Transfer matrix over one period and its trace polynomial.
-
-    Entries: T = [[-eps b Q_{s-1}, -Q_s], [eps b P_{s-1}, P_s]] with
-    eps = eps_{s-1}, b = b_{s-1}; the multipliers at lambda are the roots
-    of w^2 - t(lambda) w + 1 = 0 where t = trace T.
-    """
-
-    T: tuple  # ((w11, w12), (w21, w22)), float Polynomials
-    trace: Polynomial
-    period: int
-
     def entry_values(self, lam):
         (a, b), (c, d) = self.T
         lam = complex(lam)
@@ -69,29 +81,9 @@ class Monodromy:
                 complex(c(lam)), complex(d(lam)))
 
 
-def monodromy(pg: PeriodicGJM) -> Monodromy:
-    """Monodromy from the exact recurrence pair over one period.
-
-    With Pi = b_0^2 ... b_{s-1}^2 and c = eps_{s-1} b_{s-1}^2, T = Pi^(-1/2) M
-    for M = [[-c Qhat_{s-1}, -Qhat_s], [c Phat_{s-1}, Phat_s]].  det M = Pi is
-    the exact Liouville-Ostrogradsky identity at j = s-1, so det T = 1 up to
-    the one rounding of each entry to float.
-    """
-    s = pg.period
-    seqs = generate(pg.unroll(s), s)
-    P, Q = seqs.Phat, seqs.Qhat
-    last = pg.terms[-1]
-    c = last.epsilon * last.b_squared
-    scale = 1.0 / math.sqrt(float(seqs.b2_products[s]))
-    T = tuple(tuple(e.as_float().scale(scale) for e in row)
-              for row in ((-c * Q[s - 1], -Q[s]), (c * P[s - 1], P[s])))
-    trace = (P[s] - c * Q[s - 1]).as_float().scale(scale)
-    return Monodromy(T=T, trace=trace, period=s)
-
-
-def multipliers(mono: Monodromy, lam):
+def multipliers(pg: PeriodicGJM, lam):
     """Floquet multipliers (w_1, w_2), |w_1| >= |w_2|, w_1 w_2 = 1."""
-    w1 = complex(_larger_root(complex(mono.trace(complex(lam)))))
+    w1 = complex(_larger_root(complex(pg.trace(complex(lam)))))
     return w1, 1.0 / w1
 
 
@@ -102,7 +94,7 @@ def _larger_root(t):
     return np.where(np.abs(plus) >= np.abs(minus), plus, minus)
 
 
-def classify(mono: Monodromy, pg: PeriodicGJM, lam, tol) -> str:
+def classify(pg: PeriodicGJM, lam, tol) -> str:
     """Label lambda as E_p (eigenvalue), E (multiplier set) or resolvent.
 
     E_p: P_{s-1}(lambda) = 0 within tol (scaled) and the monodromy favors
@@ -112,20 +104,20 @@ def classify(mono: Monodromy, pg: PeriodicGJM, lam, tol) -> str:
     if tol <= 0:
         raise ValueError("tol must be positive")
     z = np.asarray(complex(lam))
-    t = np.polyval(_high_to_low(mono.trace), z)
-    return str(_labels(mono, pg, z, t, tol, tol))
+    t = np.polyval(_high_to_low(pg.trace), z)
+    return str(_labels(pg, z, t, tol, tol))
 
 
-def _labels(mono, pg, Z, t, tol, t_slack):
+def _labels(pg, Z, t, tol, t_slack):
     """E_p / E / resolvent labels at the points Z with trace values t.
 
     E_p needs |w21| within tol of 0 and |w11| above |w22| by tol, both scaled
     by b_{s-1} max(1, |z|)^deg; E needs t within t_slack of [-2, 2].
     """
-    (a, _), (c, d) = mono.T
+    (a, _), (c, d) = pg.T
     w11, w21, w22 = (np.polyval(_high_to_low(p), Z) for p in (a, c, d))
     b = pg.terms[-1].b_float
-    deg = max(e.degree for row in mono.T for e in row)
+    deg = max(e.degree for row in pg.T for e in row)
     scale = b * np.maximum(1.0, np.abs(Z)) ** deg
     is_ep = (np.abs(w21) <= tol * scale) & (np.abs(w11) > np.abs(w22) + tol * scale)
     is_e = (np.abs(t.imag) <= t_slack) & (t.real >= -2.0 - t_slack) & (t.real <= 2.0 + t_slack)
@@ -175,7 +167,7 @@ class SpectrumScan:
         })
 
 
-def scan(mono: Monodromy, pg: PeriodicGJM, region, nx, ny, tol) -> SpectrumScan:
+def scan(pg: PeriodicGJM, region, nx, ny, tol) -> SpectrumScan:
     """Classify a rectangular grid and list the eigenvalues E_p in the region.
 
     Grid labels are tolerance-dependent.  Candidate eigenvalues are the roots
@@ -192,22 +184,22 @@ def scan(mono: Monodromy, pg: PeriodicGJM, region, nx, ny, tol) -> SpectrumScan:
     ys = np.linspace(ymin, ymax, ny)
     Z = xs[None, :] + 1j * ys[:, None]
 
-    t = np.polyval(_high_to_low(mono.trace), Z)
+    t = np.polyval(_high_to_low(pg.trace), Z)
     w1 = _larger_root(t)
     w2 = 1.0 / w1  # the roots multiply to 1, so |w1| >= 1
     # the grid can only resolve the trace condition to within one cell, so
     # widen tol by how far the trace moves across half a cell diagonal
     half_diag = 0.5 * math.hypot((xmax - xmin) / (nx - 1), (ymax - ymin) / (ny - 1))
-    t_slack = tol + np.abs(np.polyval(np.polyder(_high_to_low(mono.trace)), Z)) * half_diag
-    labels = _labels(mono, pg, Z, t, tol, t_slack)
+    t_slack = tol + np.abs(np.polyval(np.polyder(_high_to_low(pg.trace)), Z)) * half_diag
+    labels = _labels(pg, Z, t, tol, t_slack)
 
     # eigenvalue candidates: zeros of P_{s-1} = w21/(eps b)
     ep = []
-    for z in map(complex, np.roots(_high_to_low(mono.T[1][0]))):
+    for z in map(complex, np.roots(_high_to_low(pg.T[1][0]))):
         if not (xmin - tol <= z.real <= xmax + tol
                 and ymin - tol <= z.imag <= ymax + tol):
             continue
-        v11, _, _, v22 = mono.entry_values(z)
+        v11, _, _, v22 = pg.entry_values(z)
         if abs(v11) - abs(v22) > EP_MARGIN * max(abs(v11), abs(v22)):
             ep.append(z)
     return SpectrumScan(region=tuple(region), nx=nx, ny=ny, tol=tol,

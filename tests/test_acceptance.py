@@ -37,8 +37,7 @@ def test_criterion_1_periodic_spectrum_scan():
     # empty point spectrum, resolved on a 400x400 grid in under 10 s
     t0 = time.perf_counter()
     pg = periodic.PeriodicGJM((PFractionTerm(1, F(1, 4), x * x),))
-    mono = periodic.monodromy(pg)
-    sc = periodic.scan(mono, pg, (-2, 2, -2, 2), 400, 400, 1e-3)
+    sc = periodic.scan(pg, (-2, 2, -2, 2), 400, 400, 1e-3)
     elapsed = time.perf_counter() - t0
 
     def dist_to_target(z):
@@ -186,7 +185,7 @@ def test_criterion_8_structural_identities():
     # unimodular monodromy and pairwise coprimality
     for _ in range(10):
         pf = random_pfraction(rng, 6)
-        (a, b), (c, d) = periodic.monodromy(periodic.PeriodicGJM(pf.terms)).T
+        (a, b), (c, d) = periodic.PeriodicGJM(pf.terms).T
         defect = max((abs(complex(v))
                       for v in (a * d - b * c - Polynomial.one()).coeffs), default=0.0)
         ok = ok and defect <= 1e-8

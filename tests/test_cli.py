@@ -127,6 +127,18 @@ def test_pade_matches_moments_scaled_off_one(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[0] == "j=1 n_j=1 match_order=1"
 
 
+def test_pade_skips_the_match_line_of_an_order_past_the_moments(tmp_path, capsys):
+    # order 4 needs 9 moments: its row is in the table, its match line is not
+    path = tmp_path / "m8.json"
+    path.write_text(json.dumps({"moments": [str(v) for v in CATALAN[:8]]}))
+    assert main(["pade", str(path), "--lambda=3,0", "--orders", "1..4"]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["j=1 n_j=1 match_order=1",
+                                "j=2 n_j=2 match_order=3",
+                                "j=3 n_j=3 match_order=5"]
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["1", "2", "3", "4"]
+
+
 def test_pade_at_large_lambda(catalan_file, tmp_path):
     # |lambda|^n_j overflows a float long before the continued fraction does
     out = tmp_path / "big.csv"
@@ -150,6 +162,38 @@ def test_pade_at_large_lambda(catalan_file, tmp_path):
 def test_non_finite_arguments_are_parse_errors(catalan_file, pfraction_file, argv):
     files = {"pf": pfraction_file, "moments": catalan_file}
     assert main([a.format(**files) for a in argv]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "{pf}", "--period", "1", "--region=-1,1,0"], "expected 'xmin,xmax,ymin,ymax'"),
+    (["spectrum", "{pf}", "--period", "1", "--region=1,-1,0,1"], "must be increasing"),
+    (["pade", "{moments}", "--lambda=3,0", "--orders", "1,x"], "bad order list"),
+    (["expand", "{keyless}"], "needs a 'moments' or 'terms' key"),
+    (["spectrum", "{moments}", "--period", "1"], "needs a pfraction input"),
+    # argument errors come before data errors: the 4 terms do not repeat
+    # with period 2, period 3 does not divide 4, and 9 moments give 4 terms,
+    # too few for order 40
+    (["spectrum", "{four}", "--period", "2", "--region=1,2,3"], "expected 'xmin,xmax,ymin,ymax'"),
+    (["spectrum", "{four}", "--period", "3", "--grid", "x"], "expected 'n' or 'nx,ny'"),
+    (["pade", "{nine}", "--lambda=3,0", "--orders", "1..40", "--reference", "nope"],
+     "unknown reference 'nope'"),
+], ids=["region-arity", "region-order", "orders", "keyless", "spectrum-moments",
+        "region-before-period", "grid-before-period", "reference-before-expand"])
+def test_argument_refusals_are_parse_errors(catalan_file, pfraction_file, tmp_path,
+                                            capsys, argv, message):
+    files = {"pf": pfraction_file, "moments": catalan_file}
+    for name, data in (("keyless", {"coefficients": ["1"]}),
+                       ("nine", {"moments": [str(v) for v in CATALAN[:9]]}),
+                       ("four", {"terms": [
+                           {"epsilon": 1, "b_squared": "1", "p": ["0", "1"]},
+                           {"epsilon": -1, "b_squared": "2", "p": ["1", "1"]},
+                           {"epsilon": 1, "b_squared": "3", "p": ["0", "1"]},
+                           {"epsilon": 1, "b_squared": "1", "p": ["2", "1"]}]})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        files[name] = str(path)
+    assert main([a.format(**files) for a in argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_pade_all_poles_exit_code(tmp_path):
@@ -177,7 +221,7 @@ def test_spectrum_csv_over_a_region_from_minus_zero(pfraction_file, tmp_path, ca
                  "--region=-0,2,-2,2", "--grid", "9,7"]) == 0
     with open(pfraction_file) as fh:
         pg = periodic.PeriodicGJM(PFraction.from_json(fh.read()).terms[:1])
-    sc = periodic.scan(periodic.monodromy(pg), pg, (-0.0, 2.0, -2.0, 2.0), 9, 7, 1e-3)
+    sc = periodic.scan(pg, (-0.0, 2.0, -2.0, 2.0), 9, 7, 1e-3)
     text = out.read_text()
     assert text == scan_csv(sc)
     assert text.split("\n")[1].startswith("0.0,-2.0,")   # linspace adds -0.0 + 0.0

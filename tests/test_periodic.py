@@ -48,30 +48,35 @@ def test_periodic_validation():
     assert unrolled[3].b_squared == F(1)
 
 
+def test_equality_and_repr_are_those_of_the_period_data():
+    pg = _eigenvalue_period()
+    assert pg == _eigenvalue_period() and hash(pg) == hash(_eigenvalue_period())
+    assert pg != _catalan_period()
+    assert repr(pg) == f"PeriodicGJM(terms={pg.terms!r})"
+
 def test_monodromy_catalan():
-    mono = periodic.monodromy(_catalan_period())
-    (a, b), (c, d) = mono.T
+    pg = _catalan_period()
+    (a, b), (c, d) = pg.T
     assert a == Polynomial.zero() and b == Polynomial((-1,))
     assert c == Polynomial.one() and d == x
-    assert mono.trace == x
-    assert mono.period == 1
+    assert pg.trace == x
+    assert pg.period == 1
 
 
 def test_monodromy_degree_two_block():
-    mono = periodic.monodromy(_chebyshev_squared_period())
-    v11, v12, v21, v22 = mono.entry_values(1.0)
+    pg = _chebyshev_squared_period()
+    v11, v12, v21, v22 = pg.entry_values(1.0)
     assert v11 == pytest.approx(0.0)
     assert v12 == pytest.approx(-2.0)
     assert v21 == pytest.approx(0.5)
     assert v22 == pytest.approx(2.0)
-    assert complex(mono.trace(1.0)) == pytest.approx(2.0)
-    assert complex(mono.trace(0.5j)) == pytest.approx(-0.5)
+    assert complex(pg.trace(1.0)) == pytest.approx(2.0)
+    assert complex(pg.trace(0.5j)) == pytest.approx(-0.5)
 
 
 def test_monodromy_trace_identity(rng):
     # trace T = P_s - eps_{s-1} b_{s-1} Q_{s-1} for the unrolled fraction
     pg = _eigenvalue_period()
-    mono = periodic.monodromy(pg)
     pf = pg.unroll(4)
     s = pg.period
     b = math.sqrt(float(pf[s - 1].b_squared))
@@ -81,14 +86,14 @@ def test_monodromy_trace_identity(rng):
         P, Q = polyrec.normalized_values(pf, lam, s)
         ps, qs1 = P[s], Q[s - 1]
         want = ps - eps * b * qs1
-        assert complex(mono.trace(lam)) == pytest.approx(want, rel=1e-10)
+        assert complex(pg.trace(lam)) == pytest.approx(want, rel=1e-10)
 
 
 def test_transfer_matrix_entries_match_polynomials():
     pf = catalan_pfraction(5)
     for j in range(3):
-        mono = periodic.monodromy(periodic.PeriodicGJM(pf.terms[:j + 1]))
-        (w11, w12), (w21, w22) = mono.T
+        pg = periodic.PeriodicGJM(pf.terms[:j + 1])
+        (w11, w12), (w21, w22) = pg.T
         b = math.sqrt(float(pf[j].b_squared))
         lam = 1.7
         P, Q = polyrec.normalized_values(pf, lam, j + 1)
@@ -109,13 +114,13 @@ def test_monodromy_is_the_normalized_pair_with_unit_determinant():
     assert len(pfs[0]) == 8
     for pf in pfs:
         s = len(pf)
-        mono = periodic.monodromy(periodic.PeriodicGJM(pf.terms))
+        pg = periodic.PeriodicGJM(pf.terms)
         eps = pf[s - 1].epsilon
         b = math.sqrt(float(pf[s - 1].b_squared))
         for _ in range(3):
             lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             P, Q = polyrec.normalized_values(pf, lam, s)
-            v11, v12, v21, v22 = mono.entry_values(lam)
+            v11, v12, v21, v22 = pg.entry_values(lam)
             assert v11 == pytest.approx(-eps * b * Q[s - 1], rel=1e-10)
             assert v12 == pytest.approx(-Q[s], rel=1e-10)
             assert v21 == pytest.approx(eps * b * P[s - 1], rel=1e-10)
@@ -125,11 +130,11 @@ def test_monodromy_is_the_normalized_pair_with_unit_determinant():
 
 
 def test_multipliers_product_and_sum(rng):
-    mono = periodic.monodromy(_chebyshev_squared_period())
+    pg = _chebyshev_squared_period()
     for _ in range(8):
         lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        w1, w2 = periodic.multipliers(mono, lam)
-        t = complex(mono.trace(lam))
+        w1, w2 = periodic.multipliers(pg, lam)
+        t = complex(pg.trace(lam))
         assert abs(w1 * w2 - 1.0) <= 1e-12
         assert abs(w1 + w2 - t) <= 1e-10 * max(1.0, abs(t))
         assert abs(w1) >= abs(w2) - 1e-12
@@ -137,46 +142,41 @@ def test_multipliers_product_and_sum(rng):
 
 def test_multipliers_match_scan_moduli():
     pg = _eigenvalue_period()
-    mono = periodic.monodromy(pg)
-    sc = periodic.scan(mono, pg, (-3, 3, -3, 3), 7, 7, 1e-3)
+    sc = periodic.scan(pg, (-3, 3, -3, 3), 7, 7, 1e-3)
     for r in range(7):
         for c in range(7):
-            w1, w2 = periodic.multipliers(mono, sc.points[r, c])
+            w1, w2 = periodic.multipliers(pg, sc.points[r, c])
             assert abs(w1) == pytest.approx(sc.w1_abs[r, c], rel=1e-12)
             assert abs(w2) == pytest.approx(sc.w2_abs[r, c], rel=1e-12)
 
 
 def test_classify_examples():
     pg = _chebyshev_squared_period()
-    mono = periodic.monodromy(pg)
     # trace 2 lambda^2: real segment and imaginary segment, nothing else
-    assert periodic.classify(mono, pg, 0.5, 1e-6) == "E"
-    assert periodic.classify(mono, pg, 0.5j, 1e-6) == "E"
-    assert periodic.classify(mono, pg, 1 + 1j, 1e-6) == "resolvent"
-    assert periodic.classify(mono, pg, 1.5, 1e-6) == "resolvent"
+    assert periodic.classify(pg, 0.5, 1e-6) == "E"
+    assert periodic.classify(pg, 0.5j, 1e-6) == "E"
+    assert periodic.classify(pg, 1 + 1j, 1e-6) == "resolvent"
+    assert periodic.classify(pg, 1.5, 1e-6) == "resolvent"
     # off the axis the trace 2 lambda^2 has imaginary part 2 Im(lambda): E
     # only while that stays within tol
-    assert periodic.classify(mono, pg, 0.5 + 1e-7j, 1e-6) == "E"
-    assert periodic.classify(mono, pg, 0.5 + 1e-5j, 1e-6) == "resolvent"
+    assert periodic.classify(pg, 0.5 + 1e-7j, 1e-6) == "E"
+    assert periodic.classify(pg, 0.5 + 1e-5j, 1e-6) == "resolvent"
     cat = _catalan_period()
-    mcat = periodic.monodromy(cat)
-    assert periodic.classify(mcat, cat, 1.0, 1e-6) == "E"
-    assert periodic.classify(mcat, cat, 3.0, 1e-6) == "resolvent"
+    assert periodic.classify(cat, 1.0, 1e-6) == "E"
+    assert periodic.classify(cat, 3.0, 1e-6) == "resolvent"
     with pytest.raises(ValueError):
-        periodic.classify(mcat, cat, 1.0, 0.0)
+        periodic.classify(cat, 1.0, 0.0)
 
 
 def test_classify_eigenvalue_point():
     pg = _eigenvalue_period()
-    mono = periodic.monodromy(pg)
-    assert periodic.classify(mono, pg, 0.0, 1e-8) == "E_p"
-    assert periodic.classify(mono, pg, 2 + 2j, 1e-8) == "resolvent"
+    assert periodic.classify(pg, 0.0, 1e-8) == "E_p"
+    assert periodic.classify(pg, 2 + 2j, 1e-8) == "resolvent"
 
 
 def test_scan_labels_and_unimodular_multipliers():
     pg = _chebyshev_squared_period()
-    mono = periodic.monodromy(pg)
-    sc = periodic.scan(mono, pg, (-2, 2, -2, 2), 81, 81, 1e-3)
+    sc = periodic.scan(pg, (-2, 2, -2, 2), 81, 81, 1e-3)
     labels = set(np.unique(sc.labels))
     assert labels == {"E", "resolvent"}
     assert sc.ep_points == ()
@@ -185,23 +185,21 @@ def test_scan_labels_and_unimodular_multipliers():
     for r in range(0, 81, 8):
         for c in range(0, 81, 8):
             z = sc.points[r, c]
-            if periodic.classify(mono, pg, z, 1e-9) == "E":
+            if periodic.classify(pg, z, 1e-9) == "E":
                 assert abs(sc.w1_abs[r, c] - 1.0) <= 1e-6
                 assert abs(sc.w2_abs[r, c] - 1.0) <= 1e-6
 
 
 def test_scan_conjugate_symmetry():
     pg = _chebyshev_squared_period()
-    mono = periodic.monodromy(pg)
-    sc = periodic.scan(mono, pg, (-2, 2, -2, 2), 41, 41, 1e-3)
+    sc = periodic.scan(pg, (-2, 2, -2, 2), 41, 41, 1e-3)
     flipped = sc.labels[::-1, :]
     assert (sc.labels == flipped).all()
 
 
 def test_scan_finds_eigenvalue():
     pg = _eigenvalue_period()
-    mono = periodic.monodromy(pg)
-    sc = periodic.scan(mono, pg, (-3, 3, -3, 3), 61, 61, 1e-3)
+    sc = periodic.scan(pg, (-3, 3, -3, 3), 61, 61, 1e-3)
     assert len(sc.ep_points) == 1
     assert abs(sc.ep_points[0]) <= 1e-9
     summary = json.loads(sc.summary_json())
@@ -209,7 +207,7 @@ def test_scan_finds_eigenvalue():
     assert summary["grid"] == [61, 61]
     assert set(summary["label_counts"]) <= {"E", "E_p", "resolvent"}
     # a region right of the root 0 of P_1 skips it
-    assert periodic.scan(mono, pg, (0.5, 3, -3, 3), 11, 11, 1e-3).ep_points == ()
+    assert periodic.scan(pg, (0.5, 3, -3, 3), 11, 11, 1e-3).ep_points == ()
 
 
 def test_scan_leaves_multiplier_ties_out_of_ep():
@@ -217,8 +215,7 @@ def test_scan_leaves_multiplier_ties_out_of_ep():
     # unimodular (|w11| = |w22| = 1 up to rounding), so the points lie on E
     pg = periodic.PeriodicGJM((PFractionTerm(-1, F(1, 4), x * x - 2 * x + 3),
                                PFractionTerm(-1, F(1, 4), x + 1)))
-    mono = periodic.monodromy(pg)
-    sc = periodic.scan(mono, pg, (-3, 3, -3, 3), 21, 21, 1e-3)
+    sc = periodic.scan(pg, (-3, 3, -3, 3), 21, 21, 1e-3)
     assert sc.ep_points == ()
 
 
@@ -229,8 +226,7 @@ def test_scan_ep_points_closed_under_conjugation():
     found = 0
     for _ in range(200):
         pg = periodic.PeriodicGJM(random_pfraction(rng, rng.randint(1, 8), 3).terms)
-        mono = periodic.monodromy(pg)
-        ep = periodic.scan(mono, pg, region, 2, 2, 1e-3).ep_points
+        ep = periodic.scan(pg, region, 2, 2, 1e-3).ep_points
         found += len(ep)
         for z in ep:
             assert min(abs(w - z.conjugate()) for w in ep) <= 1e-9 * max(1.0, abs(z))
@@ -239,8 +235,7 @@ def test_scan_ep_points_closed_under_conjugation():
 
 def test_scan_csv_format():
     pg = _catalan_period()
-    mono = periodic.monodromy(pg)
-    sc = periodic.scan(mono, pg, (-1, 1, -1, 1), 5, 5, 1e-3)
+    sc = periodic.scan(pg, (-1, 1, -1, 1), 5, 5, 1e-3)
     csv = sc.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "re,im,label,trace_re,trace_im,w1_abs,w2_abs"
@@ -253,8 +248,7 @@ def test_scan_csv_format():
 def test_scan_csv_matches_the_cell_by_cell_writer(seed):
     rng = random.Random(seed)
     pg = periodic.PeriodicGJM(random_pfraction(rng, rng.randint(1, 4), 3).terms)
-    mono = periodic.monodromy(pg)
-    sc = periodic.scan(mono, pg, (-3, 3, -2.5, 2.5), rng.randint(2, 40),
+    sc = periodic.scan(pg, (-3, 3, -2.5, 2.5), rng.randint(2, 40),
                        rng.randint(2, 40), 1e-3)
     assert sc.to_csv() == scan_csv(sc)
 
@@ -269,18 +263,17 @@ def _first_rows(sc, n):
 
 def test_scan_csv_grids_off_the_block_size(monkeypatch):
     pg = _eigenvalue_period()
-    mono = periodic.monodromy(pg)
     for nx, ny in ((2, 2), (7, 5)):
-        sc = periodic.scan(mono, pg, (-2, 2, -2, 2), nx, ny, 1e-3)
+        sc = periodic.scan(pg, (-2, 2, -2, 2), nx, ny, 1e-3)
         assert sc.to_csv() == scan_csv(sc)
     block = periodic.CSV_BLOCK
-    wide = periodic.scan(mono, pg, (-2, 2, -2, 2), block + 1, 2, 1e-3)
+    wide = periodic.scan(pg, (-2, 2, -2, 2), block + 1, 2, 1e-3)
     one_more = _first_rows(wide, block + 1)
     assert one_more.to_csv() == scan_csv(one_more)
     assert one_more.to_csv().count("\n") == block + 2
     # many blocks and a short last one
     monkeypatch.setattr(periodic, "CSV_BLOCK", 4)
-    sc = periodic.scan(mono, pg, (-2, 2, -2, 2), 7, 5, 1e-3)
+    sc = periodic.scan(pg, (-2, 2, -2, 2), 7, 5, 1e-3)
     assert sc.to_csv() == scan_csv(sc)
 
 
@@ -312,6 +305,5 @@ def test_scan_csv_special_floats():
 
 def test_scan_rejects_degenerate_grid():
     pg = _catalan_period()
-    mono = periodic.monodromy(pg)
     with pytest.raises(BadRange):
-        periodic.scan(mono, pg, (-1, 1, -1, 1), 1, 5, 1e-3)
+        periodic.scan(pg, (-1, 1, -1, 1), 1, 5, 1e-3)

@@ -186,7 +186,7 @@ def test_lo_defect_float_route_is_relative():
 def test_transfer_product_determinant_is_one(rng):
     for _ in range(5):
         pf = random_pfraction(rng, 5)
-        (a, b), (c, d) = periodic.monodromy(periodic.PeriodicGJM(pf.terms)).T
+        (a, b), (c, d) = periodic.PeriodicGJM(pf.terms).T
         diff = a * d - b * c - Polynomial.one()
         assert all(abs(v) <= 1e-8 for v in diff.coeffs)
 
