@@ -60,6 +60,8 @@ def _parse_region(text):
         raise CliError(EXIT_PARSE, f"region bounds must be finite, got {text!r}")
     if xmax <= xmin or ymax <= ymin:
         raise CliError(EXIT_PARSE, "region bounds must be increasing")
+    if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+        raise CliError(EXIT_PARSE, f"region width overflows a float, got {text!r}")
     return xmin, xmax, ymin, ymax
 
 

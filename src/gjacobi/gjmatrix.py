@@ -18,8 +18,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import (BadRange, EmptyPFraction, NotMonic, OutOfRange,
                      PoleAtLambda, SupportTooWide, TruncationTooShallow)
 from .moments import MomentSequence
@@ -94,6 +92,8 @@ class GJMatrix:
         diagonal, b_j at the first row of block j+1, last column of block
         j, and eps_j*eps_{j+1}*b_j at the first row of block j, last column
         of block j+1."""
+        import numpy as np
+
         blocks = self.blocks[:n_blocks]
         M = _block_diag(np.zeros((self.dim(n_blocks),) * 2), [blk.C for blk in blocks])
         off = 0
@@ -132,6 +132,8 @@ def symmetry_defect(H: GJMatrix, G: tuple, trunc: int, x, y) -> float:
     rational arithmetic; float vectors use the float H and G.  The defect is
     exactly zero for exact vectors when G = H.gram().
     """
+    import numpy as np
+
     if trunc < 2 or trunc > H.n_blocks:
         raise BadRange(f"truncation {trunc} outside [2, {H.n_blocks}]")
     dim = H.dim(trunc)
@@ -403,6 +405,8 @@ def numerical_range_bound(H: GJMatrix, trunc_blocks: int,
     Plain l2 inner product (Hausdorff containment sigma(H) in the closure),
     not the indefinite metric.
     """
+    import numpy as np
+
     if trunc_blocks < 1:
         raise BadRange("need at least one block")
     if angles < 4:

@@ -9,11 +9,10 @@ test (see FLOAT_ZERO_TOL and MomentSequence.first_nonzero).
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import AllZero, InsufficientMoments
 
@@ -109,7 +108,8 @@ def parse_ratio(text, exact_parse=False):
     decimal with a zero mantissa is 0 whatever its exponent, and one whose
     exponent exceeds MAX_EXACT_EXPONENT in modulus is refused with
     ValueError: Fraction would build that power of ten, and a string of 8
-    characters can ask for 10^9999999.
+    characters can ask for 10^9999999.  A float decimal that overflows to
+    infinity is refused with ValueError too.
     """
     text = str(text).strip()
     num, slash, den = text.partition("/")
@@ -121,7 +121,10 @@ def parse_ratio(text, exact_parse=False):
             raise ZeroDivisionError(f"Fraction({n}, 0)")
         return n, d
     if not slash and ("." in text or "e" in text or "E" in text) and not exact_parse:
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{text!r} overflows a float")
+        return value
     exp = None if slash else _EXPONENT.search(text)
     if exp:
         # text with exponent 0 is valid, and zero, exactly when text is
@@ -152,6 +155,8 @@ def hankel_det(s: MomentSequence, n: int):
     mat = [[s[i + k] for k in range(n)] for i in range(n)]
     if s.is_exact:
         return _bareiss_det(mat)
+    import numpy as np
+
     return float(np.linalg.det(np.array(mat, dtype=float)))
 
 
@@ -190,6 +195,8 @@ def normal_indices(s: MomentSequence, n_max: int) -> tuple:
         if exact:
             nonzero = hankel_det(s, n) != 0
         else:
+            import numpy as np
+
             sv = np.linalg.svd([[float(s[i + k]) for k in range(n)] for i in range(n)],
                                compute_uv=False)
             nonzero = sv[0] > 0 and sv[-1] / sv[0] > 1e-14

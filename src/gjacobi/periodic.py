@@ -9,8 +9,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BadRange, EmptyPFraction, OpenCoupling
 from .pfraction import PFraction
 from .poly import Polynomial
@@ -89,6 +87,8 @@ def multipliers(pg: PeriodicGJM, lam):
 
 def _larger_root(t):
     """Root of w^2 - t w + 1 = 0 of larger modulus, elementwise in t."""
+    import numpy as np
+
     s = np.sqrt(t * t - 4.0)
     plus, minus = (t + s) / 2.0, (t - s) / 2.0
     return np.where(np.abs(plus) >= np.abs(minus), plus, minus)
@@ -101,6 +101,8 @@ def classify(pg: PeriodicGJM, lam, tol) -> str:
     the decaying column, |b_{s-1} Q_{s-1}| > |P_s|.  E: trace within tol of
     the real interval [-2, 2].  Everything else: resolvent.
     """
+    import numpy as np
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     z = np.asarray(complex(lam))
@@ -114,6 +116,8 @@ def _labels(pg, Z, t, tol, t_slack):
     E_p needs |w21| within tol of 0 and |w11| above |w22| by tol, both scaled
     by b_{s-1} max(1, |z|)^deg; E needs t within t_slack of [-2, 2].
     """
+    import numpy as np
+
     (a, _), (c, d) = pg.T
     w11, w21, w22 = (np.polyval(_high_to_low(p), Z) for p in (a, c, d))
     b = pg.terms[-1].b_float
@@ -157,6 +161,8 @@ class SpectrumScan:
         return "\n".join(blocks)
 
     def summary_json(self):
+        import numpy as np
+
         unique, counts = np.unique(self.labels, return_counts=True)
         return json.dumps({
             "region": list(self.region),
@@ -177,6 +183,8 @@ def scan(pg: PeriodicGJM, region, nx, ny, tol) -> SpectrumScan:
     are w11 and w22 with w11 w22 = 1, so a tie |w11| = |w22| = 1 puts the
     point on E, not E_p.
     """
+    import numpy as np
+
     if nx < 2 or ny < 2:
         raise BadRange("grid must be at least 2x2")
     xmin, xmax, ymin, ymax = region
@@ -216,6 +224,8 @@ def _distinct_reprs(column):
     Bit patterns keep -0.0 apart from 0.0; repr of a list of floats is the
     repr of each, joined by ", ".
     """
+    import numpy as np
+
     bits = np.ascontiguousarray(column, dtype=np.float64).reshape(-1).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
     texts = repr(distinct.view(np.float64).tolist())[1:-1].split(", ")
@@ -230,4 +240,6 @@ def _csv_rows(tables, labels, rows):
 
 def _high_to_low(p: Polynomial):
     """Float coefficients, highest degree first, as numpy's polynomials take them."""
+    import numpy as np
+
     return np.array(p.as_float().coeffs[::-1], dtype=float)

@@ -27,8 +27,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as _int_gcd, lcm as _int_lcm
 
-import numpy as np
-
 _P = (1 << 31) - 1  # Mersenne prime of poly_gcd's modular coprimality test; P^2 < 2^63
 PACK_ABOVE = 10  # _mul packs integer operands longer than this (crossover 10-12)
 
@@ -402,6 +400,8 @@ def _gcd_degree_mod_p(f, g):
     The residues are int64 arrays with entries in [0, P), so q g < P^2 <
     2^63 and each reduction row is one vectorised subtract and reduce.
     """
+    import numpy as np
+
     f = np.array([c % _P for c in f], dtype=np.int64)
     g = np.array([c % _P for c in g], dtype=np.int64)
     while len(g):

@@ -18,8 +18,6 @@ import json
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
-
 from .errors import BadIndex, OutOfRange, TruncationTooShallow
 from .gjmatrix import GJMatrix, weyl_sweep
 from .pfraction import PFraction
@@ -69,6 +67,8 @@ def resolvent_certificate(pf: PFraction, lam, J) -> Certificate:
     of the largest product of each gap (the power and the division are
     monotone).  The bounds C q^k of the deep third come from one table.
     """
+    import numpy as np
+
     if J < MIN_DEPTH:
         raise OutOfRange(f"need J >= {MIN_DEPTH}")
     lam = complex(lam)
@@ -161,6 +161,8 @@ def formal_resolvent_column(gj: GJMatrix, lam, j, k, trunc) -> ResolventColumn:
     dominated by the dropped coupling at the cut and decays as trunc grows
     at resolvent points.
     """
+    import numpy as np
+
     if trunc > gj.n_blocks:
         raise TruncationTooShallow(f"only {gj.n_blocks} blocks available")
     if not 0 <= j < gj.n_blocks or k < 0 or k >= gj.blocks[j].size:

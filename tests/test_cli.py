@@ -167,6 +167,9 @@ def test_non_finite_arguments_are_parse_errors(catalan_file, pfraction_file, arg
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", "{pf}", "--period", "1", "--region=-1,1,0"], "expected 'xmin,xmax,ymin,ymax'"),
     (["spectrum", "{pf}", "--period", "1", "--region=1,-1,0,1"], "must be increasing"),
+    # finite bounds whose width overflows would give a NaN grid
+    (["spectrum", "{pf}", "--period", "1", "--region=-1e308,1e308,-1,1", "--grid", "3"],
+     "region width overflows"),
     (["pade", "{moments}", "--lambda=3,0", "--orders", "1,x"], "bad order list"),
     (["expand", "{keyless}"], "needs a 'moments' or 'terms' key"),
     (["spectrum", "{moments}", "--period", "1"], "needs a pfraction input"),
@@ -177,8 +180,8 @@ def test_non_finite_arguments_are_parse_errors(catalan_file, pfraction_file, arg
     (["spectrum", "{four}", "--period", "3", "--grid", "x"], "expected 'n' or 'nx,ny'"),
     (["pade", "{nine}", "--lambda=3,0", "--orders", "1..40", "--reference", "nope"],
      "unknown reference 'nope'"),
-], ids=["region-arity", "region-order", "orders", "keyless", "spectrum-moments",
-        "region-before-period", "grid-before-period", "reference-before-expand"])
+], ids=["region-arity", "region-order", "region-width", "orders", "keyless",
+        "spectrum-moments", "region-before-period", "grid-before-period", "reference-before-expand"])
 def test_argument_refusals_are_parse_errors(catalan_file, pfraction_file, tmp_path,
                                             capsys, argv, message):
     files = {"pf": pfraction_file, "moments": catalan_file}
@@ -445,6 +448,21 @@ def test_float_flag(float_catalan_file, tmp_path, capsys):
     assert main(["--float", "--out", str(out), "pade", float_catalan_file,
                  "--lambda=3,0", "--orders", "1..6"]) == 0
     assert len(out.read_text().strip().split("\n")) == 7
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["--float", "expand"], {"moments": ["1", "0", "1e400", "0", "2"]}),
+    (["--float", "moments"], {"terms": [
+        {"epsilon": 1, "b_squared": "1e400", "p": ["0", "1"]},
+        {"epsilon": 1, "b_squared": None, "p": ["0", "1"]}]}),
+], ids=["expand", "moments"])
+def test_float_overflow_is_a_parse_error(tmp_path, capsys, argv, data):
+    # a decimal past the float range is refused, not read as inf
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    assert main(argv + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "overflows a float" in err
 
 
 def test_repeated_calls_share_no_options(float_catalan_file, tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 import re
 from itertools import accumulate
 from fractions import Fraction
-from math import comb
+from math import comb, isinf
 
 import pytest
 from hypothesis import given, strategies as st
@@ -151,11 +151,14 @@ def _parse_reference(text, exact_parse):
     except on an exact decimal whose exponent exceeds MAX_EXACT_EXPONENT in
     modulus.  That one is 0 when its mantissa is zero and refused otherwise,
     and valid where the same string with exponent 0 is (Fraction would
-    build the power of ten first)."""
+    build the power of ten first).  A float decimal that overflows is
+    refused."""
     text = str(text).strip()
     if "/" in text:
         return Fraction(text)
     if ("." in text or "e" in text or "E" in text) and not exact_parse:
+        if isinf(float(text)):
+            raise ValueError("float overflow")
         return float(text)
     big = re.fullmatch(r"(.*[eE])([-+]?\d+(?:_\d+)*)", text, re.S)
     if big and abs(int(big[2])) > MAX_EXACT_EXPONENT:
