@@ -1,6 +1,7 @@
 """Periodic coefficient data and its monodromy: the transfer matrix over one
-period, the Floquet multipliers it gives, and the grid classification of the
-spectrum into the multiplier set E and the finite point set E_p.
+period, the Floquet multipliers it gives, the eigenvalues E_p (the roots of
+P_{s-1} that eigenvalues() keeps) and the grid scan of the multiplier set E,
+whose E_p cells are the cells nearest those eigenvalues.
 """
 
 from __future__ import annotations
@@ -94,38 +95,42 @@ def _larger_root(t):
     return np.where(np.abs(plus) >= np.abs(minus), plus, minus)
 
 
+def eigenvalues(pg: PeriodicGJM):
+    """The eigenvalues E_p: the roots of w21 = eps b P_{s-1} (np.roots) at
+    which |w11| exceeds |w22| by more than a rounding margin, i.e. the
+    monodromy favours the decaying column.  At a root the multipliers are w11
+    and w22 with w11 w22 = 1, so a tie |w11| = |w22| = 1 puts it on E.
+    """
+    import numpy as np
+
+    ep = []
+    for z in map(complex, np.roots(_high_to_low(pg.T[1][0]))):
+        v11, _, _, v22 = pg.entry_values(z)
+        if abs(v11) - abs(v22) > EP_MARGIN * max(abs(v11), abs(v22)):
+            ep.append(z)
+    return tuple(ep)
+
+
 def classify(pg: PeriodicGJM, lam, tol) -> str:
     """Label lambda as E_p (eigenvalue), E (multiplier set) or resolvent.
 
-    E_p: P_{s-1}(lambda) = 0 within tol (scaled) and the monodromy favors
-    the decaying column, |b_{s-1} Q_{s-1}| > |P_s|.  E: trace within tol of
-    the real interval [-2, 2].  Everything else: resolvent.
+    E_p: lambda within distance tol of an entry of eigenvalues(pg).  E: trace
+    within tol of the real interval [-2, 2].  Everything else: resolvent.
     """
     import numpy as np
 
     if tol <= 0:
         raise ValueError("tol must be positive")
-    z = np.asarray(complex(lam))
-    t = np.polyval(_high_to_low(pg.trace), z)
-    return str(_labels(pg, z, t, tol, tol))
+    lam = complex(lam)
+    if any(abs(lam - z) <= tol for z in eigenvalues(pg)):
+        return LABEL_EP
+    t = np.polyval(_high_to_low(pg.trace), lam)  # as scan evaluates it
+    return LABEL_E if _in_e(t, tol) else LABEL_RESOLVENT
 
 
-def _labels(pg, Z, t, tol, t_slack):
-    """E_p / E / resolvent labels at the points Z with trace values t.
-
-    E_p needs |w21| within tol of 0 and |w11| above |w22| by tol, both scaled
-    by b_{s-1} max(1, |z|)^deg; E needs t within t_slack of [-2, 2].
-    """
-    import numpy as np
-
-    (a, _), (c, d) = pg.T
-    w11, w21, w22 = (np.polyval(_high_to_low(p), Z) for p in (a, c, d))
-    b = pg.terms[-1].b_float
-    deg = max(e.degree for row in pg.T for e in row)
-    scale = b * np.maximum(1.0, np.abs(Z)) ** deg
-    is_ep = (np.abs(w21) <= tol * scale) & (np.abs(w11) > np.abs(w22) + tol * scale)
-    is_e = (np.abs(t.imag) <= t_slack) & (t.real >= -2.0 - t_slack) & (t.real <= 2.0 + t_slack)
-    return np.where(is_ep, LABEL_EP, np.where(is_e, LABEL_E, LABEL_RESOLVENT))
+def _in_e(t, slack):
+    """Whether the trace values t lie within slack of [-2, 2], elementwise."""
+    return (abs(t.imag) <= slack) & (t.real >= -2.0 - slack) & (t.real <= 2.0 + slack)
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,7 @@ class SpectrumScan:
     trace_values: object
     w1_abs: object
     w2_abs: object
-    ep_points: tuple     # roots of P_{s-1} in the region that pass the modulus test
+    ep_points: tuple     # eigenvalues(pg) in the region; each labels its nearest cell E_p
 
     def to_csv(self):
         """The grid as CSV, one row per point in row-major order.
@@ -176,12 +181,10 @@ class SpectrumScan:
 def scan(pg: PeriodicGJM, region, nx, ny, tol) -> SpectrumScan:
     """Classify a rectangular grid and list the eigenvalues E_p in the region.
 
-    Grid labels are tolerance-dependent.  Candidate eigenvalues are the roots
-    of P_{s-1} inside the region (companion-matrix eigenvalues, np.roots),
-    kept only when the modulus inequality |b_{s-1} Q_{s-1}| > |P_s| holds at
-    the root by more than a rounding margin.  At a root the two multipliers
-    are w11 and w22 with w11 w22 = 1, so a tie |w11| = |w22| = 1 puts the
-    point on E, not E_p.
+    E labels are tolerance-dependent: the trace within tol of [-2, 2], tol
+    widened by the trace's move across half a cell.  ep_points are the
+    entries of eigenvalues(pg) within tol of the region, and each labels the
+    grid cell nearest it E_p; that label wins over E.
     """
     import numpy as np
 
@@ -199,21 +202,14 @@ def scan(pg: PeriodicGJM, region, nx, ny, tol) -> SpectrumScan:
     # widen tol by how far the trace moves across half a cell diagonal
     half_diag = 0.5 * math.hypot((xmax - xmin) / (nx - 1), (ymax - ymin) / (ny - 1))
     t_slack = tol + np.abs(np.polyval(np.polyder(_high_to_low(pg.trace)), Z)) * half_diag
-    labels = _labels(pg, Z, t, tol, t_slack)
-
-    # eigenvalue candidates: zeros of P_{s-1} = w21/(eps b)
-    ep = []
-    for z in map(complex, np.roots(_high_to_low(pg.T[1][0]))):
-        if not (xmin - tol <= z.real <= xmax + tol
-                and ymin - tol <= z.imag <= ymax + tol):
-            continue
-        v11, _, _, v22 = pg.entry_values(z)
-        if abs(v11) - abs(v22) > EP_MARGIN * max(abs(v11), abs(v22)):
-            ep.append(z)
+    labels = np.where(_in_e(t, t_slack), LABEL_E, LABEL_RESOLVENT)
+    ep = tuple(z for z in eigenvalues(pg)
+               if xmin - tol <= z.real <= xmax + tol and ymin - tol <= z.imag <= ymax + tol)
+    for z in ep:
+        labels[np.abs(ys - z.imag).argmin(), np.abs(xs - z.real).argmin()] = LABEL_EP
     return SpectrumScan(region=tuple(region), nx=nx, ny=ny, tol=tol,
                         points=Z, labels=labels, trace_values=t,
-                        w1_abs=np.abs(w1), w2_abs=np.abs(w2),
-                        ep_points=tuple(ep))
+                        w1_abs=np.abs(w1), w2_abs=np.abs(w2), ep_points=ep)
 
 
 def _distinct_reprs(column):

@@ -210,6 +210,54 @@ def test_scan_finds_eigenvalue():
     assert periodic.scan(pg, (0.5, 3, -3, 3), 11, 11, 1e-3).ep_points == ()
 
 
+def test_scan_labels_the_cell_nearest_an_off_grid_eigenvalue():
+    # p_0 = lambda - 13/1000 moves the eigenvalue to 0.013, between the grid
+    # columns 0.0 and 0.05; the cell at 0 is the nearest
+    pg = periodic.PeriodicGJM((PFractionTerm(1, F(1, 4), x - F(13, 1000)),
+                               PFractionTerm(1, F(1), x)))
+    sc = periodic.scan(pg, (-1, 1, -1, 1), 41, 41, 1e-3)
+    assert len(sc.ep_points) == 1
+    assert sc.ep_points[0] == pytest.approx(0.013, abs=1e-12)
+    rows, cols = np.nonzero(sc.labels == "E_p")
+    assert (rows.tolist(), cols.tolist()) == ([20], [20])
+    assert sc.points[20, 20] == 0
+    assert json.loads(sc.summary_json())["label_counts"]["E_p"] == 1
+    assert periodic.classify(pg, 0.013, 1e-3) == "E_p"
+    # tol is a distance to the eigenvalue
+    assert periodic.classify(pg, 0.013 + 5e-4j, 1e-3) == "E_p"
+    assert periodic.classify(pg, 0.013 + 2e-3j, 1e-3) == "resolvent"
+
+
+def _nearest_cell(sc, z):
+    """(row, col) of the grid point nearest z, checked to lie within half a
+    cell (plus the region's tol margin) of z on each axis."""
+    xs, ys = sc.points[0, :].real, sc.points[:, 0].imag
+    row, col = int(np.abs(ys - z.imag).argmin()), int(np.abs(xs - z.real).argmin())
+    assert abs(xs[col] - z.real) <= (xs[1] - xs[0]) / 2 + sc.tol
+    assert abs(ys[row] - z.imag) <= (ys[1] - ys[0]) / 2 + sc.tol
+    return row, col
+
+
+def test_scan_ep_cells_are_the_cells_nearest_ep_points():
+    rng = random.Random(26)
+    region = (-3, 3, -2.5, 2.5)
+    found = 0
+    for _ in range(60):
+        pg = periodic.PeriodicGJM(random_pfraction(rng, rng.randint(1, 4), 3).terms)
+        sc = periodic.scan(pg, region, rng.randint(2, 40), rng.randint(2, 40), 1e-3)
+        found += len(sc.ep_points)
+        cells = {_nearest_cell(sc, z) for z in sc.ep_points}
+        assert int((sc.labels == "E_p").sum()) == len(cells)
+        for row, col in cells:
+            assert sc.labels[row, col] == "E_p"
+        for z in sc.ep_points:
+            assert periodic.classify(pg, z, 1e-3) == "E_p"
+        csv_labels = [line.split(",")[2] for line in scan_csv(sc).splitlines()[1:]]
+        counts = json.loads(sc.summary_json())["label_counts"]
+        assert counts == {k: csv_labels.count(k) for k in set(csv_labels)}
+    assert found > 0
+
+
 def test_scan_leaves_multiplier_ties_out_of_ep():
     # at the roots 1 -+ i sqrt(2) of P_1 = x^2 - 2x + 3 both multipliers are
     # unimodular (|w11| = |w22| = 1 up to rounding), so the points lie on E
