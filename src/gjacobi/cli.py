@@ -31,7 +31,6 @@ EXIT_PARSE = 2
 EXIT_DATA = 3
 EXIT_POLE = 4
 EXIT_PERIOD = 5
-WRITE_CHUNK = 1 << 20  # characters per write of an --out file
 
 
 class CliError(Exception):
@@ -113,14 +112,17 @@ def _as_pfraction(obj, max_terms, degree_cap):
 
 
 def _write(path, text):
-    if not path:
+    if path:
+        _write_file(path, lambda fh: fh.write(text))
+    else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        return
+
+
+def _write_file(path, write):
+    """Open path for text and call write(fh) on it; OSError exits 2."""
     try:
         with open(path, "w") as fh:
-            # a slice at a time: encoding the whole text would copy it at once
-            for i in range(0, len(text), WRITE_CHUNK):
-                fh.write(text[i:i + WRITE_CHUNK])
+            write(fh)
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"cannot write {path}: {exc}")
 
@@ -197,7 +199,7 @@ def cmd_spectrum(args):
     sc = periodic.scan(periodic.PeriodicGJM(pattern), region, nx, ny, args.tol)
     summary = sc.summary_json()
     if args.out:
-        _write(args.out, sc.to_csv())
+        _write_file(args.out, sc.write_csv)
         _write(args.out + ".summary.json", summary)
     print(summary)
     return EXIT_OK

@@ -21,7 +21,7 @@ LABEL_EP = "E_p"
 # relative rounding margin by which |w11| must exceed |w22| at a root of
 # P_{s-1} for the root to count as an eigenvalue
 EP_MARGIN = 1e-9
-CSV_BLOCK = 8192  # rows assembled per step of SpectrumScan.to_csv
+CSV_BLOCK = 8192  # rows per write of SpectrumScan.write_csv
 
 
 @dataclass(frozen=True)
@@ -146,24 +146,31 @@ class SpectrumScan:
     w2_abs: object
     ep_points: tuple     # eigenvalues(pg) in the region; each labels its nearest cell E_p
 
-    def to_csv(self):
-        """The grid as CSV, one row per point in row-major order.
-
-        Each float is written as repr(float), the shortest text that reads
-        back to it.  A column is formatted once per distinct bit pattern
-        (grid coordinates and the symmetric example's values repeat), and
-        rows are assembled CSV_BLOCK at a time from the int32 indices.
+    def write_csv(self, fh):
+        """Write the grid to the text stream fh as CSV, one row per point in
+        row-major order: the header, then one fh.write per CSV_BLOCK rows,
+        each one join of the (rows, 7) column texts that the indices pick.
+        A float is written as repr, the shortest text that reads back to it.
         """
+        import numpy as np
+
+        # sorting the labels copies them all, so it comes before the float texts
+        labels, codes = np.unique(self.labels, return_inverse=True)
         columns = (self.points.real, self.points.imag, self.trace_values.real,
                    self.trace_values.imag, self.w1_abs, self.w2_abs)
-        tables = [_distinct_reprs(c) for c in columns]
-        labels = self.labels.reshape(-1)
-        blocks = ["re,im,label,trace_re,trace_im,w1_abs,w2_abs"]
-        for i in range(0, labels.size, CSV_BLOCK):
-            blocks.append(_csv_rows(tables, labels, slice(i, i + CSV_BLOCK)))
-        blocks.append("")  # the final newline, without copying the joined text
-        del tables  # before the join doubles the text
-        return "\n".join(blocks)
+        tables = [_distinct_reprs(c, sep) for c, sep in zip(columns, ",,,,,\n")]
+        tables.insert(2, (np.char.add(labels, ",").astype(object), codes.reshape(-1)))
+        fh.write("re,im,label,trace_re,trace_im,w1_abs,w2_abs\n")
+        for i in range(0, self.labels.size, CSV_BLOCK):
+            block = np.stack([t[ix[i:i + CSV_BLOCK]] for t, ix in tables], axis=1)
+            fh.write("".join(block.reshape(-1).tolist()))
+
+    def to_csv(self):
+        """The text that write_csv writes, as one string."""
+        import io
+        out = io.StringIO()
+        self.write_csv(out)
+        return out.getvalue()
 
     def summary_json(self):
         import numpy as np
@@ -212,26 +219,17 @@ def scan(pg: PeriodicGJM, region, nx, ny, tol) -> SpectrumScan:
                         w1_abs=np.abs(w1), w2_abs=np.abs(w2), ep_points=ep)
 
 
-def _distinct_reprs(column):
-    """(texts, index): repr of each distinct float64 bit pattern of column,
-    as an object array, and the int32 position of every entry's pattern in
-    texts, row-major.
-
-    Bit patterns keep -0.0 apart from 0.0; repr of a list of floats is the
-    repr of each, joined by ", ".
+def _distinct_reprs(column, sep):
+    """(texts, index): repr of each distinct float64 bit pattern of column
+    (-0.0 apart from 0.0) followed by sep, as an object array, and the int32
+    position of every entry's pattern in texts, row-major.
     """
     import numpy as np
 
     bits = np.ascontiguousarray(column, dtype=np.float64).reshape(-1).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
-    texts = repr(distinct.view(np.float64).tolist())[1:-1].split(", ")
-    return np.array(texts, dtype=object), index.astype(np.int32).reshape(-1)
-
-
-def _csv_rows(tables, labels, rows):
-    """The CSV lines of one slice of rows, joined by newlines."""
-    re, im, tr, ti, w1, w2 = (texts[index[rows]].tolist() for texts, index in tables)
-    return "\n".join(map(",".join, zip(re, im, labels[rows].tolist(), tr, ti, w1, w2)))
+    texts = [r + sep for r in map(repr, distinct.view(np.float64).tolist())]
+    return np.array(texts, dtype=object), index.astype(np.int32)
 
 
 def _high_to_low(p: Polynomial):

@@ -347,7 +347,20 @@ def test_moments_round_trip(pfraction_file, tmp_path, capsys):
 def test_unwritable_out_is_a_parse_error(pfraction_file, tmp_path, capsys, argv):
     out = str(tmp_path / "missing" / "x")
     assert main(["--out", out, argv[0], pfraction_file, *argv[1:]]) == 2
-    assert f"cannot write {out}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"cannot write {out}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_spectrum_out_on_a_full_device_is_a_parse_error(pfraction_file, monkeypatch, capsys):
+    # blocks of 4 rows fill the file buffer and fail with ENOSPC mid-stream
+    monkeypatch.setattr(periodic, "CSV_BLOCK", 4)
+    assert main(["--out", "/dev/full", "spectrum", pfraction_file, "--period", "1",
+                 "--grid", "40"]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write /dev/full" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("epsilon, code", [

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -323,6 +324,17 @@ def test_scan_csv_grids_off_the_block_size(monkeypatch):
     monkeypatch.setattr(periodic, "CSV_BLOCK", 4)
     sc = periodic.scan(pg, (-2, 2, -2, 2), 7, 5, 1e-3)
     assert sc.to_csv() == scan_csv(sc)
+
+
+def test_write_csv_streams_the_header_then_one_block_per_write(monkeypatch):
+    monkeypatch.setattr(periodic, "CSV_BLOCK", 4)
+    sc = periodic.scan(_eigenvalue_period(), (-2, 2, -2, 2), 7, 5, 1e-3)
+    writes = []
+    sc.write_csv(SimpleNamespace(write=writes.append))
+    text = scan_csv(sc)
+    assert "".join(writes) == text
+    lines = text.splitlines(keepends=True)
+    assert writes == [lines[0]] + ["".join(lines[i:i + 4]) for i in range(1, len(lines), 4)]
 
 
 def test_scan_csv_special_floats():
