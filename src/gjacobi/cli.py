@@ -303,10 +303,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if not 0 < args.tol < math.inf:
-        print("error: --tol must be positive and finite", file=sys.stderr)
-        return EXIT_PARSE
     try:
+        if not 0 < args.tol < math.inf:
+            raise CliError(EXIT_PARSE, "--tol must be positive and finite")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

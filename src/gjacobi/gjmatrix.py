@@ -6,7 +6,8 @@ entries eps_j*eps_{j+1}), which is similar to H block by block, so
 characteristic polynomials and the moments [H^i e, e] are unchanged.  K is
 held only as the integer matrix D*K, D the lcm of its denominators, in
 sparse rows (`_integer_k`): about three nonzeros per row, read by the
-charpoly, the moments and the exact symmetry defect.
+charpoly, the exact symmetry defect and `_krylov`, the one iteration behind
+both moment readers (`moments_from_matrix` here, `pfraction.to_moments`).
 """
 
 from __future__ import annotations
@@ -225,16 +226,19 @@ def _kvec(rows, v):
     return [a * v[la] + b * v[lb] + c * v[lc] for (la, a), (lb, b), (lc, c) in rows]
 
 
-def _krylov(rows, count):
-    """Yield v_i = B^i e_0 for i < count, B the upper Hessenberg matrix of
-    the rows of _integer_k.  v_i vanishes past index i, so a step forms
-    only the rows that can be nonzero."""
+def _krylov(terms, count):
+    """Yield (v_i, D^i), i < count: v_i = (D*K)^i e_0 in integers for the
+    _integer_k rows of terms, so K^i e_0 = v_i / D^i.  D*K is upper
+    Hessenberg, so v_i vanishes past index i and a step forms only the rows
+    that can be nonzero.  Both moment readers take their metric row of v_i."""
+    rows, D = _integer_k(terms)
     n = len(rows)
-    v = [1] + [0] * (n - 1)
+    v, den = [1] + [0] * (n - 1), 1
     for i in range(count):
-        yield v
+        yield v, den
         m = min(i + 2, n)
         v = _kvec(rows[:m], v) + v[m:]
+        den *= D
 
 
 # -- characteristic polynomials ---------------------------------------
@@ -360,15 +364,10 @@ def moments_from_matrix(H: GJMatrix, G: tuple, count: int):
         raise TruncationTooShallow(
             f"{H.n_blocks} blocks (dim {n_total}) certify only {2 * n_total} moments"
         )
-    # v_i = (D K)^i e in integers, so that s_i = [G_0 e, v_i] / D^i; the
-    # first row of G_0 is g / g_den
-    rows, D = _integer_k(H.source.terms)
+    # s_i = [G_0 e, v_i] / D^i; the first row of G_0 is g / g_den
     g, g_den = _clear(G[0][0])
-    out = []
-    for v in _krylov(rows, count):
-        out.append(Fraction(_dot(g, v), g_den))
-        g_den *= D
-    return MomentSequence(tuple(out))
+    return MomentSequence(tuple(Fraction(_dot(g, v), g_den * den)
+                                for v, den in _krylov(H.source.terms, count)))
 
 
 # -- numerical range --------------------------------------------------

@@ -10,8 +10,8 @@ pairs are integer lists: the normalization fixes the pair's scale, so a
 step divides only by the content of its remainder.
 
 The way back reads the moments as s_i = [H^i e, e] of the generalized
-Jacobi matrix: `to_moments` iterates the integer matrix D*K of
-`gjmatrix` on a unit vector.
+Jacobi matrix: `to_moments` reads them off `gjmatrix._krylov`, the
+iteration of the integer matrix D*K on a unit vector.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import gcd, lcm, sqrt
 
 from .errors import (AllZero, DegreeCapExceeded, EmptyPFraction,
                      InsufficientMoments, OpenCoupling, OutOfRange)
-from .gjmatrix import _integer_k, _krylov
+from .gjmatrix import _krylov
 from .moments import MomentSequence, normalize, parse_ratio, parse_scalar, _scalar_str
 from .poly import Polynomial, _clear, _mul
 
@@ -282,7 +282,7 @@ def to_moments(pf: PFraction, count: int) -> MomentSequence:
     coefficient is exact.  A j-term prefix already reproduces the series
     through index 2*n_j - 1, so only the shortest prefix with
     2*n_j >= count is iterated.  The iteration v <- (D*K) v runs in
-    integers (gjmatrix._integer_k), and s_i = eps_0 * v_i[k_0 - 1] / D^i,
+    integers (gjmatrix._krylov), and s_i = eps_0 * v_i[k_0 - 1] / D^i,
     since the first row of the metric block G_0 is eps_0 e_{k_0-1}.  Float
     data is run on its exact rational values and rounded once at the end.
     """
@@ -295,13 +295,11 @@ def to_moments(pf: PFraction, count: int) -> MomentSequence:
     terms = pf.terms[:J]
     exact = all(t.p.is_exact and isinstance(t.b_squared or 0, (int, Fraction))
                 for t in terms)
-    rows, D = _integer_k(terms)
     eps0, at = terms[0].epsilon, terms[0].degree - 1
     ring = Fraction if exact else float
-    moments, den = [], 1
-    for v in _krylov(rows, count):
+    moments = []
+    for v, den in _krylov(terms, count):
         c = eps0 * v[at]
         moments.append(Fraction(c, den) if exact else c / den)
-        den *= D
     certified = None if pf.status == STATUS_TERMINATED else 2 * pf.normal_index(len(pf)) - 1
     return MomentSequence(tuple(moments), scale=ring(1), certified_up_to=certified)

@@ -47,14 +47,11 @@ class Polynomial:
     __slots__ = ("_num", "_den", "_coeffs", "_float")
 
     def __init__(self, coeffs=()):
-        if isinstance(coeffs, Polynomial):
-            num, den, coeffs = coeffs._num, coeffs._den, coeffs._coeffs
-        else:
-            coeffs = _trim(tuple(coeffs))
-            num = den = None
-            if _is_exact(coeffs):
-                num, den = _clear(coeffs)  # in lowest terms already
-                num, coeffs = tuple(num), None
+        coeffs = _trim(tuple(coeffs))
+        num = den = None
+        if _is_exact(coeffs):
+            num, den = _clear(coeffs)  # in lowest terms already
+            num, coeffs = tuple(num), None
         _set(self, num, den, coeffs)
 
     def __setattr__(self, name, value):
@@ -116,9 +113,7 @@ class Polynomial:
     def leading(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        if self._num is None:
-            return self._coeffs[-1]
-        return Fraction(self._num[-1], self._den)
+        return self.coeffs[-1]
 
     @property
     def is_monic(self):
@@ -420,10 +415,8 @@ def _gcd_degree_mod_p(f, g):
 
 
 def _int_prem(f, g):
-    """Integer pseudo-remainder lc(g)^(df-dg+1) * f mod g (lists, low-to-high)."""
+    """Integer pseudo-remainder lc(g)^(df-dg+1) * f mod g, df >= dg (lists, low-to-high)."""
     df, dg = len(f) - 1, len(g) - 1
-    if df < dg:
-        return list(f)
     lg = g[-1]
     r = list(f)
     for i in range(df - dg, -1, -1):

@@ -49,10 +49,13 @@ def test_expand_writes_pfraction(catalan_file, tmp_path, capsys):
     assert "normal indices" in err and "block degrees" in err
 
 
-def test_expand_rejects_all_zero(tmp_path):
+def test_expand_rejects_all_zero(tmp_path, capsys):
     path = tmp_path / "z.json"
     path.write_text(json.dumps({"moments": ["0", "0", "0"]}))
     assert main(["expand", str(path)]) == 3
+    path.write_text(json.dumps({"moments": ["0", "1"]}))  # too short for its block
+    assert main(["expand", str(path)]) == 3
+    assert capsys.readouterr().err.endswith("error: no expandable content in input\n")
 
 
 def test_expand_rejects_pfraction_input(pfraction_file):
@@ -105,6 +108,15 @@ def test_pade_convergence_table(catalan_file, tmp_path, capsys):
     assert all(a > b for a, b in zip(errs, errs[1:]))
     err = capsys.readouterr().err
     assert "match_order" in err and "fitted error ratio" in err
+
+
+def test_pade_fits_no_ratio_to_a_single_order(catalan_file, capsys):
+    # the fit reads the later half of the orders, here 3 and 3: no spread in n_j
+    assert main(["pade", catalan_file, "--lambda", "3,0", "--orders", "1,2,3,3",
+                 "--reference", "sqrt-catalan"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 5
+    assert "match_order" in err and "fitted error ratio" not in err
 
 
 def test_pade_matches_moments_scaled_off_one(tmp_path, capsys):
@@ -340,6 +352,17 @@ def test_moments_round_trip(pfraction_file, tmp_path, capsys):
     assert "certified through" in capsys.readouterr().err
 
 
+def test_moments_of_a_terminated_fraction_are_all_exact(tmp_path, capsys):
+    path = tmp_path / "term.json"
+    data = json.loads(catalan_pfraction(3).to_json())
+    data["terms"][-1]["b_squared"] = None
+    path.write_text(json.dumps({**data, "status": "terminated"}))
+    assert main(["moments", str(path), "--count", "10"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["moments"][:4] == ["1", "0", "1", "0"]
+    assert "certified through" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["moments", "--count", "6"],
     ["spectrum", "--period", "1", "--grid", "3"],
@@ -488,5 +511,6 @@ def test_repeated_calls_share_no_options(float_catalan_file, tmp_path, capsys):
     assert '"b_squared": "1"' in capsys.readouterr().out
 
 
-def test_tol_validation(catalan_file):
+def test_tol_validation(catalan_file, capsys):
     assert main(["--tol", "-1", "expand", catalan_file]) == 2
+    assert capsys.readouterr() == ("", "error: --tol must be positive and finite\n")

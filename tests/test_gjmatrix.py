@@ -176,6 +176,24 @@ def test_symmetry_defect_rejects_wide_support():
         gm.symmetry_defect(H, G, 1, [F(1)], [F(1)])
 
 
+@pytest.mark.parametrize("call, exc, match", [
+    pytest.param(lambda H: gm.symmetry_defect(H, H.gram(), 2, [F(0)] * 3, [F(0)]),
+                 SupportTooWide, "longer than the truncation", id="defect-vector-too-long"),
+    pytest.param(lambda H: gm.truncation_charpoly(H, 1, 0),
+                 BadRange, "bad block range", id="charpoly-reversed-range"),
+    pytest.param(lambda H: gm.numerical_range_bound(H, 2, 8).contains(
+                     gm.numerical_range_bound(H, 2, 4)),
+                 ValueError, "angle grids differ", id="contains-other-angle-grid"),
+    pytest.param(lambda H: gm.numerical_range_bound(H, 0, 8),
+                 BadRange, "at least one block", id="range-bound-no-block"),
+    pytest.param(lambda H: gm.numerical_range_bound(H, 2, 3),
+                 ValueError, "at least 4 angles", id="range-bound-three-angles"),
+])
+def test_argument_refusals(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call(gm.assemble(catalan_pfraction(4)))
+
+
 def test_m_truncation_values():
     pf = catalan_pfraction(4)
     assert gm.m_truncation(pf, 0, 3.0) == pytest.approx(-1 / 3)

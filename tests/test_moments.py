@@ -57,6 +57,19 @@ def test_hankel_det_needs_enough_moments():
         hankel_det(s, 2)
 
 
+@pytest.mark.parametrize("call, exc, match", [
+    pytest.param(lambda: MomentSequence(()), ValueError, "at least one entry",
+                 id="empty-sequence"),
+    pytest.param(lambda: hankel_det(MomentSequence((F(1),)), 0), ValueError,
+                 "n must be positive", id="hankel-order-zero"),
+    pytest.param(lambda: normal_indices(MomentSequence((F(1), F(0), F(1))), 3),
+                 InsufficientMoments, "certify up to 3", id="normal-indices-past-the-data"),
+])
+def test_argument_refusals(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
+
+
 def test_normal_indices_catalan_and_degenerate():
     cat = MomentSequence(tuple(F(v) for v in (1, 0, 1, 0, 2, 0, 5)))
     assert normal_indices(cat, 4) == (1, 2, 3, 4)

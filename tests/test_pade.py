@@ -170,6 +170,8 @@ def test_block_table_regimes():
     bt2 = {(c.L, c.M): c.verdict for c in pade.block_table(1, 1, 3, 3)}
     assert bt2[(1, 1)] == "coincides"
     assert "not_exist" not in bt2.values()
+    with pytest.raises(ValueError, match="block size"):
+        pade.block_table(2, 0, 3, 3)
 
 
 def test_convergence_run_catalan():

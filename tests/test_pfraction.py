@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import catalan_pfraction, random_pfraction
 from oracles import fraction_expand, laurent_moments, series_div
 from gjacobi import gjmatrix as gm
-from gjacobi.errors import (AllZero, DegreeCapExceeded, InsufficientMoments,
-                            OpenCoupling)
+from gjacobi.errors import (AllZero, DegreeCapExceeded, EmptyPFraction,
+                            InsufficientMoments, OpenCoupling)
 from gjacobi.moments import MomentSequence, parse_scalar
 from gjacobi.pfraction import (PFraction, PFractionTerm, expand, expand_step,
                                to_moments)
@@ -80,6 +80,24 @@ def test_expand_errors():
         expand(MomentSequence(tuple(F(v) for v in (0, 0, 1, 0, 0, 0))), 4, 2)
     with pytest.raises(InsufficientMoments):
         expand_step((0, 1, 0), (1,))
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    pytest.param(lambda: PFractionTerm(2, F(1), x), ValueError, "epsilon",
+                 id="epsilon-two"),
+    pytest.param(lambda: PFraction((), status="x"), ValueError, "unknown status",
+                 id="unknown-status"),
+    pytest.param(lambda: expand_step((0, 0), (1,)), AllZero, "identically zero",
+                 id="step-on-a-zero-tail"),
+    # s_1 opens a block of degree 2, which needs 4 moments: no term fits
+    pytest.param(lambda: expand(MomentSequence((F(0), F(1))), 4, 3),
+                 AllZero, "no expandable content", id="expand-no-whole-block"),
+    pytest.param(lambda: to_moments(PFraction(()), 1), EmptyPFraction, "no terms",
+                 id="moments-of-no-terms"),
+])
+def test_argument_refusals(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
 
 
 def test_expand_step_reciprocal_matches_naive_oracle():

@@ -44,6 +44,9 @@ def test_arithmetic_basics():
     assert p * q == Polynomial([-1, -1, 1, 1])
     assert (2 * p).coeffs == (-2, 0, 2)
     assert p(F(3)) == 8
+    assert 1 - q == Polynomial([0, -1])
+    assert (q == 1) is False  # a scalar is not a polynomial
+    assert q and not Polynomial.zero()
 
 
 @given(exact_coeffs, exact_coeffs)
@@ -109,6 +112,17 @@ def test_from_integer_ratio_keeps_the_denominator_positive():
     assert Polynomial.from_integer_ratio([1], -1) == Polynomial.from_integer_ratio([-1], 1)
     with pytest.raises(ValueError):
         Polynomial.from_integer_ratio([1], 0)
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    pytest.param(lambda: setattr(Polynomial.x(), "_den", 2), AttributeError, "immutable",
+                 id="set-an-attribute"),
+    pytest.param(lambda: Polynomial.zero().leading, ValueError, "no leading coefficient",
+                 id="leading-of-zero"),
+])
+def test_argument_refusals(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
 
 
 def test_float_polynomials_keep_their_coefficients():
@@ -241,6 +255,8 @@ def test_eval_exact_pair_matches_float():
         assert complex(float(re), float(im)) == pytest.approx(
             complex(p.as_float()(complex(lam))), rel=1e-12)
     assert p.as_float().eval_exact_pair(1.0) is None
+    for lam in (complex(float("inf"), 0), complex(0, float("nan"))):
+        assert p.eval_exact_pair(lam) is None
 
 
 @given(poly_coeffs, poly_coeffs)
@@ -289,6 +305,7 @@ def test_gcd_matches_euclidean_oracle(rng):
         got = poly_gcd(a, b)
         want = _euclid_gcd(a, b)
         assert got.monic() == want
+        assert poly_gcd(b, a) == got  # the shorter operand first
         assert got.degree >= g.degree or g.degree == 0
 
 

@@ -208,6 +208,25 @@ def test_range_errors():
         polyrec.generate(pf, 5)
 
 
+def _open3():
+    return polyrec.generate(random_pfraction(random.Random(3), 3, last_open=True), 3)
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    pytest.param(lambda: _open3().check_range(4), OutOfRange, "generated range",
+                 id="check-range-past-j-max"),
+    pytest.param(lambda: polyrec.generate(catalan_pfraction(3), 0), ValueError,
+                 "j_max must be >= 1", id="generate-to-zero"),
+    pytest.param(lambda: polyrec.lo_defect(_open3(), 2, 0.5), OutOfRange, "no coupling",
+                 id="lo-defect-at-the-open-term"),
+    pytest.param(lambda: polyrec.coprimality_check(_open3(), 0), OutOfRange, "j >= 1",
+                 id="coprimality-at-zero"),
+])
+def test_argument_refusals(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
+
+
 def test_open_final_term_blocks_normalization():
     pf = random_pfraction(__import__("random").Random(3), 3, last_open=True)
     with pytest.raises(OutOfRange):
