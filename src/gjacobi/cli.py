@@ -127,13 +127,15 @@ def _write_file(path, write):
         raise CliError(EXIT_PARSE, f"cannot write {path}: {exc}")
 
 
-REFERENCES = {
-    # Weyl function of the constant-coefficient single-step data (the branch
-    # decaying at infinity)
-    "sqrt-catalan": lambda lam: (-lam + (lam * lam - 4) ** 0.5) / 2
-    if abs(-lam + (lam * lam - 4) ** 0.5) <= abs(-lam - (lam * lam - 4) ** 0.5)
-    else (-lam - (lam * lam - 4) ** 0.5) / 2,
-}
+def _sqrt_catalan(lam):
+    """Weyl function of the constant-coefficient single-step data (the branch
+    decaying at infinity)."""
+    root = (lam * lam - 4) ** 0.5
+    plus, minus = -lam + root, -lam - root
+    return (plus if abs(plus) <= abs(minus) else minus) / 2
+
+
+REFERENCES = {"sqrt-catalan": _sqrt_catalan}
 
 
 def cmd_expand(args):
@@ -158,14 +160,14 @@ def cmd_pade(args):
         raise CliError(EXIT_PARSE, f"unknown reference {args.reference!r}")
     j_hi = max(orders)
     pf = _as_pfraction(obj, j_hi + 1, args.degree_cap)
-    seqs = polyrec.generate(pf, j_hi)
-    table = pade.convergence_run(seqs, lam, orders, reference)
+    table = pade.convergence_run(pf, lam, orders, reference)
     if all(r.value is None for r in table.rows):
         raise CliError(EXIT_POLE, "every requested order has a pole at lambda")
     if isinstance(obj, MomentSequence):
         series = normalize(obj)  # what expand expanded
         if series.scale != 1:
             print("the table is for the moments divided by", series.scale, file=sys.stderr)
+        seqs = polyrec.generate(pf, j_hi)  # match_order reads the coefficients
         for j in orders:
             appr = pade.diagonal(seqs, j)
             try:

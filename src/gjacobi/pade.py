@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InsufficientMoments, OutOfRange, PoleAtLambda
+from .errors import InsufficientMoments, NotEnoughTerms, OutOfRange, PoleAtLambda
 from .gjmatrix import m_truncation
 from .moments import MomentSequence
 from .pfraction import PFraction
@@ -141,19 +141,23 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
-def convergence_run(seqs: OrthoSequences, lam, j_list, reference=None) -> ConvergenceTable:
-    """Evaluate the diagonal approximants at lam against a reference value.
+def convergence_run(pf: PFraction, lam, j_list, reference=None) -> ConvergenceTable:
+    """Evaluate the diagonal approximants of pf at lam against a reference value.
 
-    Pole hits are flagged per entry and skipped by the geometric-ratio fit,
-    which least-squares the log errors over the last half of j_list.
+    Row j is n_j and -Qhat_j/Phat_j at lam as the m-function of H_[0,j-1],
+    read from the terms alone: no approximant or polynomial is built.  Pole
+    hits are flagged per entry and skipped by the geometric-ratio fit, which
+    least-squares the log errors over the last half of j_list.
     """
+    j_hi = max(j_list, default=0)
+    if j_hi > len(pf):
+        raise NotEnoughTerms(f"need {j_hi} terms, P-fraction has {len(pf)}")
     ref = None if reference is None else complex(reference(complex(lam)))
     rows = []
     for j in j_list:
-        appr = diagonal(seqs, j)
-        n_j = appr.order
+        n_j = pf.normal_index(j)
         try:
-            val = appr(lam)
+            val = m_truncation(pf, j - 1, lam)
         except PoleAtLambda:
             rows.append(ConvergenceRow(j, n_j, None, None))
             continue

@@ -15,9 +15,10 @@ from .pfraction import PFraction
 from .poly import Polynomial
 from .polyrec import generate
 
-LABEL_RESOLVENT = "resolvent"
-LABEL_E = "E"
-LABEL_EP = "E_p"
+# the spectrum labels in sorted order; SpectrumScan.labels holds uint8
+# indices into LABELS, and classify returns the strings
+LABELS = ("E", "E_p", "resolvent")
+CODE_E, CODE_EP, CODE_RESOLVENT = range(len(LABELS))
 # relative rounding margin by which |w11| must exceed |w22| at a root of
 # P_{s-1} for the root to count as an eigenvalue
 EP_MARGIN = 1e-9
@@ -82,7 +83,10 @@ class PeriodicGJM:
 
 def multipliers(pg: PeriodicGJM, lam):
     """Floquet multipliers (w_1, w_2), |w_1| >= |w_2|, w_1 w_2 = 1."""
-    w1 = complex(_larger_root(complex(pg.trace(complex(lam)))))
+    import numpy as np
+
+    t = np.polyval(_high_to_low(pg.trace), complex(lam))  # as scan evaluates it
+    w1 = complex(_larger_root(t))
     return w1, 1.0 / w1
 
 
@@ -123,9 +127,9 @@ def classify(pg: PeriodicGJM, lam, tol) -> str:
         raise ValueError("tol must be positive")
     lam = complex(lam)
     if any(abs(lam - z) <= tol for z in eigenvalues(pg)):
-        return LABEL_EP
+        return LABELS[CODE_EP]
     t = np.polyval(_high_to_low(pg.trace), lam)  # as scan evaluates it
-    return LABEL_E if _in_e(t, tol) else LABEL_RESOLVENT
+    return LABELS[CODE_E if _in_e(t, tol) else CODE_RESOLVENT]
 
 
 def _in_e(t, slack):
@@ -140,7 +144,7 @@ class SpectrumScan:
     ny: int
     tol: float
     points: object       # complex array, shape (ny, nx), row-major by (row, col)
-    labels: object       # string array matching points
+    labels: object       # uint8 array matching points, indices into LABELS
     trace_values: object
     w1_abs: object
     w2_abs: object
@@ -154,12 +158,11 @@ class SpectrumScan:
         """
         import numpy as np
 
-        # sorting the labels copies them all, so it comes before the float texts
-        labels, codes = np.unique(self.labels, return_inverse=True)
         columns = (self.points.real, self.points.imag, self.trace_values.real,
                    self.trace_values.imag, self.w1_abs, self.w2_abs)
         tables = [_distinct_reprs(c, sep) for c, sep in zip(columns, ",,,,,\n")]
-        tables.insert(2, (np.char.add(labels, ",").astype(object), codes.reshape(-1)))
+        tables.insert(2, (np.array([name + "," for name in LABELS], dtype=object),
+                          self.labels.reshape(-1)))
         fh.write("re,im,label,trace_re,trace_im,w1_abs,w2_abs\n")
         for i in range(0, self.labels.size, CSV_BLOCK):
             block = np.stack([t[ix[i:i + CSV_BLOCK]] for t, ix in tables], axis=1)
@@ -175,12 +178,12 @@ class SpectrumScan:
     def summary_json(self):
         import numpy as np
 
-        unique, counts = np.unique(self.labels, return_counts=True)
+        counts = np.bincount(self.labels.reshape(-1), minlength=len(LABELS))
         return json.dumps({
             "region": list(self.region),
             "grid": [self.nx, self.ny],
             "tol": self.tol,
-            "label_counts": {str(u): int(c) for u, c in zip(unique, counts)},
+            "label_counts": {name: int(c) for name, c in zip(LABELS, counts) if c},
             "ep_points": [[z.real, z.imag] for z in self.ep_points],
         })
 
@@ -209,11 +212,11 @@ def scan(pg: PeriodicGJM, region, nx, ny, tol) -> SpectrumScan:
     # widen tol by how far the trace moves across half a cell diagonal
     half_diag = 0.5 * math.hypot((xmax - xmin) / (nx - 1), (ymax - ymin) / (ny - 1))
     t_slack = tol + np.abs(np.polyval(np.polyder(_high_to_low(pg.trace)), Z)) * half_diag
-    labels = np.where(_in_e(t, t_slack), LABEL_E, LABEL_RESOLVENT)
+    labels = np.where(_in_e(t, t_slack), np.uint8(CODE_E), np.uint8(CODE_RESOLVENT))
     ep = tuple(z for z in eigenvalues(pg)
                if xmin - tol <= z.real <= xmax + tol and ymin - tol <= z.imag <= ymax + tol)
     for z in ep:
-        labels[np.abs(ys - z.imag).argmin(), np.abs(xs - z.real).argmin()] = LABEL_EP
+        labels[np.abs(ys - z.imag).argmin(), np.abs(xs - z.real).argmin()] = CODE_EP
     return SpectrumScan(region=tuple(region), nx=nx, ny=ny, tol=tol,
                         points=Z, labels=labels, trace_values=t,
                         w1_abs=np.abs(w1), w2_abs=np.abs(w2), ep_points=ep)

@@ -20,6 +20,7 @@ from itertools import accumulate
 from gjacobi.errors import AllZero, InsufficientMoments
 from gjacobi.gjmatrix import weyl_sweep
 from gjacobi.moments import normalize
+from gjacobi.periodic import LABELS
 from gjacobi.pfraction import PFraction, PFractionTerm
 from gjacobi import poly
 from gjacobi.poly import Polynomial
@@ -140,7 +141,7 @@ def scan_csv(sc):
             z = sc.points[r, c]
             t = sc.trace_values[r, c]
             lines.append(
-                f"{float(z.real)!r},{float(z.imag)!r},{sc.labels[r, c]},"
+                f"{float(z.real)!r},{float(z.imag)!r},{LABELS[sc.labels[r, c]]},"
                 f"{float(t.real)!r},{float(t.imag)!r},"
                 f"{float(sc.w1_abs[r, c])!r},{float(sc.w2_abs[r, c])!r}"
             )

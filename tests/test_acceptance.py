@@ -45,7 +45,7 @@ def test_criterion_1_periodic_spectrum_scan():
         d_imag = math.hypot(abs(z.real), max(abs(z.imag) - 1.0, 0.0))
         return min(d_real, d_imag)
 
-    e_points = sc.points[sc.labels == "E"]
+    e_points = sc.points[sc.labels == periodic.CODE_E]
     forward = max(dist_to_target(z) for z in e_points)
     targets = ([complex(v, 0) for v in np.linspace(-1, 1, 201)]
                + [complex(0, v) for v in np.linspace(-1, 1, 201)])
@@ -125,9 +125,10 @@ def test_criterion_4_pade_matching():
 def test_criterion_5_convergence_rate():
     # geometric convergence of the convergents to the closed-form function at
     # lambda = 3, with the documented [2/2] error
-    seqs = polyrec.generate(catalan_pfraction(14), 13)
+    pf = catalan_pfraction(14)
+    seqs = polyrec.generate(pf, 13)
     ref = lambda lam: (-lam + np.sqrt(complex(lam) ** 2 - 4)) / 2
-    tab = pade.convergence_run(seqs, 3.0, list(range(4, 13)), ref)
+    tab = pade.convergence_run(pf, 3.0, list(range(4, 13)), ref)
     ratio_ok = tab.ratio is not None and 0.12 <= tab.ratio <= 0.18
     appr2 = pade.diagonal(seqs, 2)
     err22 = abs(complex(appr2(3.0)) - M3)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import catalan_pfraction, random_pfraction
 from oracles import scan_csv
-from gjacobi import periodic
+from gjacobi import pade, periodic, polyrec
 from gjacobi.cli import build_parser, main
 from gjacobi.moments import MomentSequence
 from gjacobi.pfraction import PFraction, to_moments
@@ -93,6 +93,32 @@ def test_pade_refuses_orders_past_the_data(tmp_path):
     path = tmp_path / "short.json"
     path.write_text(s.to_json())
     assert main(["pade", str(path), "--lambda", "3,0", "--orders", "1..10"]) == 3
+
+
+def test_pade_on_a_pfraction_generates_no_polynomials(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("polyrec.generate called")
+    monkeypatch.setattr(polyrec, "generate", refuse)
+    path = tmp_path / "pf.json"
+    path.write_text(random_pfraction(random.Random(1), 9).to_json())
+    assert main(["pade", str(path), "--lambda=3,0", "--orders", "1..9"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    # an order past the terms is refused with the count of both
+    assert main(["pade", str(path), "--lambda=3,0", "--orders", "1..10"]) == 3
+    assert capsys.readouterr().err == "error: need 10 terms, P-fraction has 9\n"
+
+
+def test_pade_builds_one_approximant_per_order(catalan_file, monkeypatch, capsys):
+    # the match_order lines of a moments input need the polynomials, once
+    calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or fn(*args))
+    count(polyrec, "generate")
+    count(pade, "diagonal")
+    assert main(["pade", catalan_file, "--lambda=3,0", "--orders", "1..6"]) == 0
+    assert calls == ["generate"] + ["diagonal"] * 6
 
 
 def test_pade_convergence_table(catalan_file, tmp_path, capsys):

@@ -9,7 +9,7 @@ from conftest import catalan_pfraction, random_pfraction
 from oracles import laurent_coeffs
 from gjacobi import gjmatrix as gm
 from gjacobi import pade, polyrec
-from gjacobi.errors import InsufficientMoments, OutOfRange, PoleAtLambda
+from gjacobi.errors import InsufficientMoments, NotEnoughTerms, OutOfRange, PoleAtLambda
 from gjacobi.moments import MomentSequence
 from gjacobi.pfraction import to_moments
 from gjacobi.poly import Polynomial
@@ -175,9 +175,8 @@ def test_block_table_regimes():
 
 
 def test_convergence_run_catalan():
-    seqs = polyrec.generate(catalan_pfraction(14), 13)
     ref = lambda lam: (-lam + np.sqrt(lam * lam - 4)) / 2
-    tab = pade.convergence_run(seqs, 3.0, list(range(1, 13)), ref)
+    tab = pade.convergence_run(catalan_pfraction(14), 3.0, list(range(1, 13)), ref)
     assert tab.rows[1].abs_error == pytest.approx(0.0069660112, abs=1e-8)
     assert 0.12 <= tab.ratio <= 0.18
     errs = [r.abs_error for r in tab.rows]
@@ -185,8 +184,7 @@ def test_convergence_run_catalan():
 
 
 def test_convergence_run_flags_poles():
-    seqs = polyrec.generate(catalan_pfraction(5), 4)
-    tab = pade.convergence_run(seqs, 1.0, [1, 2, 3])  # Phat_2(1) = 0
+    tab = pade.convergence_run(catalan_pfraction(5), 1.0, [1, 2, 3])  # Phat_2(1) = 0
     assert tab.rows[1].value is None
     assert tab.rows[0].value is not None
     csv = tab.to_csv()
@@ -194,7 +192,42 @@ def test_convergence_run_flags_poles():
 
 
 def test_convergence_self_reference_zero_error():
-    seqs = polyrec.generate(catalan_pfraction(6), 5)
-    appr = pade.diagonal(seqs, 4)
-    tab = pade.convergence_run(seqs, 3.0, [4], reference=lambda z: appr(z))
+    pf = catalan_pfraction(6)
+    appr = pade.diagonal(polyrec.generate(pf, 5), 4)
+    tab = pade.convergence_run(pf, 3.0, [4], reference=lambda z: appr(z))
     assert tab.rows[0].abs_error == 0.0
+
+
+def test_convergence_run_rows_are_the_diagonal_approximants():
+    # the table reads the fraction alone; each row is the approximant's order
+    # and value, None where lambda is a pole of it
+    rng = random.Random(29)
+    ref = lambda z: z * z
+    poles = 0
+    for i in range(40):
+        pf = random_pfraction(rng, rng.randint(1, 8), last_open=i % 3 == 0)
+        J = len(pf)
+        if pf[0].degree == 1:
+            lam = complex(-pf[0].p.coeffs[0])  # the root of Phat_1 = p_0
+        else:
+            lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        seqs = polyrec.generate(pf, J)
+        tab = pade.convergence_run(pf, lam, range(1, J + 1), ref)
+        for j, row in zip(range(1, J + 1), tab.rows, strict=True):
+            appr = pade.diagonal(seqs, j)
+            try:
+                want = appr(lam)
+            except PoleAtLambda:
+                want = None
+                poles += 1
+            err = None if want is None else abs(want - ref(lam))
+            assert (row.j, row.n_j, row.value, row.abs_error) == (j, appr.order, want, err)
+    assert poles > 0
+
+
+def test_convergence_run_refuses_orders_past_the_terms():
+    pf = catalan_pfraction(5)
+    with pytest.raises(NotEnoughTerms, match="need 6 terms, P-fraction has 5"):
+        pade.convergence_run(pf, 3.0, [1, 6, 2])
+    with pytest.raises(OutOfRange):
+        pade.convergence_run(pf, 3.0, [0, 1])

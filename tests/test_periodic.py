@@ -141,6 +141,19 @@ def test_multipliers_product_and_sum(rng):
         assert abs(w1) >= abs(w2) - 1e-12
 
 
+def test_multipliers_evaluate_the_trace_as_scan_does():
+    # both evaluate the trace with np.polyval, so the multiplier is the
+    # scan's at every grid point, to the bit
+    rng = random.Random(5)
+    for _ in range(40):
+        pg = periodic.PeriodicGJM(random_pfraction(rng, rng.randint(1, 4), 3).terms)
+        sc = periodic.scan(pg, (-3, 3, -3, 3), 15, 15, 1e-3)
+        for r in range(15):
+            for c in range(15):
+                want = complex(periodic._larger_root(sc.trace_values[r, c]))
+                assert periodic.multipliers(pg, sc.points[r, c])[0] == want
+
+
 def test_multipliers_match_scan_moduli():
     pg = _eigenvalue_period()
     sc = periodic.scan(pg, (-3, 3, -3, 3), 7, 7, 1e-3)
@@ -175,11 +188,17 @@ def test_classify_eigenvalue_point():
     assert periodic.classify(pg, 2 + 2j, 1e-8) == "resolvent"
 
 
+def test_labels_are_sorted_codes():
+    assert periodic.LABELS == tuple(sorted(periodic.LABELS))
+    codes = (periodic.CODE_E, periodic.CODE_EP, periodic.CODE_RESOLVENT)
+    assert [periodic.LABELS[c] for c in codes] == ["E", "E_p", "resolvent"]
+
+
 def test_scan_labels_and_unimodular_multipliers():
     pg = _chebyshev_squared_period()
     sc = periodic.scan(pg, (-2, 2, -2, 2), 81, 81, 1e-3)
-    labels = set(np.unique(sc.labels))
-    assert labels == {"E", "resolvent"}
+    assert sc.labels.dtype == np.uint8
+    assert set(sc.labels.reshape(-1).tolist()) == {periodic.CODE_E, periodic.CODE_RESOLVENT}
     assert sc.ep_points == ()
     # on strictly classified multiplier-set points both multipliers are
     # unimodular
@@ -219,7 +238,7 @@ def test_scan_labels_the_cell_nearest_an_off_grid_eigenvalue():
     sc = periodic.scan(pg, (-1, 1, -1, 1), 41, 41, 1e-3)
     assert len(sc.ep_points) == 1
     assert sc.ep_points[0] == pytest.approx(0.013, abs=1e-12)
-    rows, cols = np.nonzero(sc.labels == "E_p")
+    rows, cols = np.nonzero(sc.labels == periodic.CODE_EP)
     assert (rows.tolist(), cols.tolist()) == ([20], [20])
     assert sc.points[20, 20] == 0
     assert json.loads(sc.summary_json())["label_counts"]["E_p"] == 1
@@ -248,14 +267,15 @@ def test_scan_ep_cells_are_the_cells_nearest_ep_points():
         sc = periodic.scan(pg, region, rng.randint(2, 40), rng.randint(2, 40), 1e-3)
         found += len(sc.ep_points)
         cells = {_nearest_cell(sc, z) for z in sc.ep_points}
-        assert int((sc.labels == "E_p").sum()) == len(cells)
+        assert int((sc.labels == periodic.CODE_EP).sum()) == len(cells)
         for row, col in cells:
-            assert sc.labels[row, col] == "E_p"
+            assert sc.labels[row, col] == periodic.CODE_EP
         for z in sc.ep_points:
             assert periodic.classify(pg, z, 1e-3) == "E_p"
         csv_labels = [line.split(",")[2] for line in scan_csv(sc).splitlines()[1:]]
         counts = json.loads(sc.summary_json())["label_counts"]
         assert counts == {k: csv_labels.count(k) for k in set(csv_labels)}
+        assert list(counts) == [k for k in periodic.LABELS if k in counts]
     assert found > 0
 
 
@@ -349,8 +369,8 @@ def test_scan_csv_special_floats():
     points.real, points.imag = re, im   # re + 1j * im would turn inf into nan
     trace = np.empty(shape, dtype=complex)
     trace.real, trace.imag = im, re
-    labels = np.array([periodic.LABEL_E, periodic.LABEL_EP,
-                       periodic.LABEL_RESOLVENT, periodic.LABEL_E] * 4).reshape(shape)
+    labels = np.array([periodic.CODE_E, periodic.CODE_EP, periodic.CODE_RESOLVENT,
+                       periodic.CODE_E] * 4, dtype=np.uint8).reshape(shape)
     sc = periodic.SpectrumScan(
         region=(-1, 1, -1, 1), nx=4, ny=4, tol=1e-3, points=points, labels=labels,
         trace_values=trace, w1_abs=np.abs(re), w2_abs=np.roll(values, 7).reshape(shape),
