@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from itertools import accumulate
 
-from . import pade, periodic, polyrec, spectral
+from . import periodic  # eager: bench/spans.py's Recorder.install reads it from sys.modules
 from .errors import GJacobiError, InsufficientMoments, OutOfRange, PoleAtLambda
 from .moments import MomentSequence, normal_indices, normalize
 from .pfraction import PFraction, PFractionTerm, expand, to_moments
@@ -152,6 +152,8 @@ def cmd_expand(args):
 
 
 def cmd_pade(args):
+    from . import pade, polyrec
+
     obj = _load_input(args.input, args.exact)
     orders = _parse_orders(args.orders)
     lam = _parse_complex(args.lam)
@@ -208,6 +210,8 @@ def cmd_spectrum(args):
 
 
 def cmd_certify(args):
+    from . import spectral
+
     obj = _load_input(args.input, args.exact)
     lam = _parse_complex(args.lam)
     J = args.depth
@@ -235,6 +239,8 @@ def cmd_moments(args):
 
 
 def cmd_selftest(args):
+    from . import polyrec
+
     checks = []
     x = Polynomial.x()
     cat = PFraction(tuple(PFractionTerm(1, Fraction(1), x) for _ in range(12)))

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InsufficientMoments, NotEnoughTerms, OutOfRange, PoleAtLambda
 from .gjmatrix import m_truncation
 from .moments import MomentSequence
 from .pfraction import PFraction
 from .poly import Polynomial, _clear, _mul
-from .polyrec import OrthoSequences
+
+if TYPE_CHECKING:  # only annotations read it
+    from .polyrec import OrthoSequences
 
 COINCIDES = "coincides"
 NOT_EXIST = "not_exist"

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .errors import BadRange, EmptyPFraction, OpenCoupling
 from .pfraction import PFraction
 from .poly import Polynomial
-from .polyrec import generate
 
 # the spectrum labels in sorted order; SpectrumScan.labels holds uint8
 # indices into LABELS, and classify returns the strings
@@ -48,6 +47,8 @@ class PeriodicGJM:
     trace: Polynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        from .polyrec import generate
+
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise EmptyPFraction("period must contain at least one term")

@@ -25,7 +25,6 @@ from math import gcd, lcm, sqrt
 
 from .errors import (AllZero, DegreeCapExceeded, EmptyPFraction,
                      InsufficientMoments, OpenCoupling, OutOfRange)
-from .gjmatrix import _krylov
 from .moments import MomentSequence, normalize, parse_ratio, parse_scalar, _scalar_str
 from .poly import Polynomial, _clear, _mul
 
@@ -286,6 +285,8 @@ def to_moments(pf: PFraction, count: int) -> MomentSequence:
     since the first row of the metric block G_0 is eps_0 e_{k_0-1}.  Float
     data is run on its exact rational values and rounded once at the end.
     """
+    from .gjmatrix import _krylov
+
     if len(pf) == 0:
         raise EmptyPFraction("P-fraction has no terms")
     if count < 1:

@@ -24,7 +24,7 @@ from .errors import NotEnoughTerms, OutOfRange
 from .poly import (Polynomial, _mul, _pack, _product_bound, _slot_width,
                    _unpack, poly_gcd)
 
-if TYPE_CHECKING:  # pfraction imports generate from this module
+if TYPE_CHECKING:  # only annotations read it
     from .pfraction import PFraction
 
 
