@@ -393,9 +393,6 @@ class NumericalRangeBound:
         return all(so <= ss + tol
                    for so, ss in zip(other.supports, self.supports))
 
-    def max_imag(self) -> float:
-        return max(abs(z.imag) for z in self.boundary)
-
 
 def numerical_range_bound(H: GJMatrix, trunc_blocks: int,
                           angles: int) -> NumericalRangeBound:

@@ -78,7 +78,7 @@ class MomentSequence:
 
     @classmethod
     def from_data(cls, data, exact_parse=False):
-        return cls(tuple(parse_scalar(v, exact_parse) for v in data["moments"]))
+        return cls(tuple(parse_scalar(v, exact_parse) for v in _json_list(data, "moments")))
 
 
 def _scalar_str(c):
@@ -86,6 +86,15 @@ def _scalar_str(c):
         c = Fraction(c)
         return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
     return repr(float(c))
+
+
+def _json_list(data, key):
+    """data[key], which must be a list: a JSON string or object is refused,
+    not read by its characters or its keys."""
+    value = data[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list, got {type(value).__name__}")
+    return value
 
 
 def parse_scalar(text, exact_parse=False):

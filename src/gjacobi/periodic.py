@@ -75,18 +75,12 @@ class PeriodicGJM:
         terms = tuple(self.terms[i % s] for i in range(n_terms))
         return PFraction(terms)
 
-    def entry_values(self, lam):
-        (a, b), (c, d) = self.T
-        lam = complex(lam)
-        return (complex(a(lam)), complex(b(lam)),
-                complex(c(lam)), complex(d(lam)))
-
 
 def multipliers(pg: PeriodicGJM, lam):
     """Floquet multipliers (w_1, w_2), |w_1| >= |w_2|, w_1 w_2 = 1."""
     import numpy as np
 
-    t = np.polyval(_high_to_low(pg.trace), complex(lam))  # as scan evaluates it
+    t = pg.trace(np.asarray(complex(lam)))  # numpy's arithmetic, as in scan
     w1 = complex(_larger_root(t))
     return w1, 1.0 / w1
 
@@ -108,9 +102,10 @@ def eigenvalues(pg: PeriodicGJM):
     """
     import numpy as np
 
+    (w11, _), (w21, w22) = pg.T
     ep = []
-    for z in map(complex, np.roots(_high_to_low(pg.T[1][0]))):
-        v11, _, _, v22 = pg.entry_values(z)
+    for z in map(complex, np.roots(w21.coeffs[::-1])):
+        v11, v22 = w11(z), w22(z)
         if abs(v11) - abs(v22) > EP_MARGIN * max(abs(v11), abs(v22)):
             ep.append(z)
     return tuple(ep)
@@ -129,7 +124,7 @@ def classify(pg: PeriodicGJM, lam, tol) -> str:
     lam = complex(lam)
     if any(abs(lam - z) <= tol for z in eigenvalues(pg)):
         return LABELS[CODE_EP]
-    t = np.polyval(_high_to_low(pg.trace), lam)  # as scan evaluates it
+    t = pg.trace(np.asarray(lam))  # numpy's arithmetic, as in scan
     return LABELS[CODE_E if _in_e(t, tol) else CODE_RESOLVENT]
 
 
@@ -206,13 +201,14 @@ def scan(pg: PeriodicGJM, region, nx, ny, tol) -> SpectrumScan:
     ys = np.linspace(ymin, ymax, ny)
     Z = xs[None, :] + 1j * ys[:, None]
 
-    t = np.polyval(_high_to_low(pg.trace), Z)
+    t = pg.trace(Z)
     w1 = _larger_root(t)
     w2 = 1.0 / w1  # the roots multiply to 1, so |w1| >= 1
     # the grid can only resolve the trace condition to within one cell, so
     # widen tol by how far the trace moves across half a cell diagonal
     half_diag = 0.5 * math.hypot((xmax - xmin) / (nx - 1), (ymax - ymin) / (ny - 1))
-    t_slack = tol + np.abs(np.polyval(np.polyder(_high_to_low(pg.trace)), Z)) * half_diag
+    slope = Polynomial(tuple(k * c for k, c in enumerate(pg.trace.coeffs))[1:])
+    t_slack = tol + np.abs(slope(Z)) * half_diag
     labels = np.where(_in_e(t, t_slack), np.uint8(CODE_E), np.uint8(CODE_RESOLVENT))
     ep = tuple(z for z in eigenvalues(pg)
                if xmin - tol <= z.real <= xmax + tol and ymin - tol <= z.imag <= ymax + tol)
@@ -234,10 +230,3 @@ def _distinct_reprs(column, sep):
     distinct, index = np.unique(bits, return_inverse=True)
     texts = [r + sep for r in map(repr, distinct.view(np.float64).tolist())]
     return np.array(texts, dtype=object), index.astype(np.int32)
-
-
-def _high_to_low(p: Polynomial):
-    """Float coefficients, highest degree first, as numpy's polynomials take them."""
-    import numpy as np
-
-    return np.array(p.as_float().coeffs[::-1], dtype=float)

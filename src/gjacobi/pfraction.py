@@ -25,7 +25,8 @@ from math import gcd, lcm, sqrt
 
 from .errors import (AllZero, DegreeCapExceeded, EmptyPFraction,
                      InsufficientMoments, OpenCoupling, OutOfRange)
-from .moments import MomentSequence, normalize, parse_ratio, parse_scalar, _scalar_str
+from .moments import (MomentSequence, normalize, parse_ratio, parse_scalar, _json_list,
+                      _scalar_str)
 from .poly import Polynomial, _clear, _mul
 
 STATUS_OPEN = "open"
@@ -144,7 +145,7 @@ def _parse_term(t, exact_parse):
     return PFractionTerm(
         epsilon=int(eps),
         b_squared=None if b2 is None else parse_scalar(b2, exact_parse),
-        p=_block([parse_ratio(c, exact_parse) for c in t["p"]]),
+        p=_block([parse_ratio(c, exact_parse) for c in _json_list(t, "p")]),
     )
 
 
@@ -237,6 +238,8 @@ def expand_step(num, den):
 
 def expand(s: MomentSequence, max_terms: int, degree_cap: int) -> PFraction:
     """Expand a moment sequence into at most max_terms P-fraction terms."""
+    if max_terms < 1:
+        raise OutOfRange("max_terms must be >= 1")
     tail = normalize(s)
     i0 = tail.first_nonzero()
     # entries the zero test drops become exact zeros of the first pair; an

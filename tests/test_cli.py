@@ -58,6 +58,12 @@ def test_expand_rejects_all_zero(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("error: no expandable content in input\n")
 
 
+def test_expand_refuses_max_terms_below_one(catalan_file, capsys):
+    for n in ("0", "-1"):
+        assert main(["expand", catalan_file, "--max-terms", n]) == 3
+        assert capsys.readouterr().err == "error: max_terms must be >= 1\n"
+
+
 def test_expand_rejects_pfraction_input(pfraction_file):
     assert main(["expand", pfraction_file]) == 2
 
@@ -80,10 +86,19 @@ def test_parse_failures(tmp_path, catalan_file):
 
 
 def test_malformed_shapes_are_parse_errors(tmp_path):
-    for i, data in enumerate(({"moments": 5}, {"terms": [1]}, "moments")):
+    # a string or an object where a list belongs is refused, not read by its
+    # characters or its keys
+    term = {"epsilon": 1, "b_squared": "1"}
+    cases = [({"moments": 5}, ["expand"]), ({"terms": [1]}, ["expand"]),
+             ("moments", ["expand"]),
+             ({"moments": "1012"}, ["expand", "--max-terms", "2"]),
+             ({"moments": {"1": 0, "0": 1}}, ["expand"]),
+             ({"terms": [{**term, "p": "01"}]}, ["moments", "--count", "4"]),
+             ({"terms": [{**term, "p": {"0": "0", "1": "1"}}]}, ["moments", "--count", "4"])]
+    for i, (data, argv) in enumerate(cases):
         path = tmp_path / f"shape{i}.json"
         path.write_text(json.dumps(data))
-        assert main(["expand", str(path)]) == 2
+        assert main([argv[0], str(path), *argv[1:]]) == 2, data
 
 
 def test_pade_refuses_orders_past_the_data(tmp_path):

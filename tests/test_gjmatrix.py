@@ -254,6 +254,7 @@ def test_numerical_range_bound():
     nr = gm.numerical_range_bound(H, 10, 64)
     # truncated free Jacobi matrix: eigenvalues 2cos(k pi / 11)
     assert nr.support_at(0.0) <= 2 * np.cos(np.pi / 11) + 1e-6
-    assert nr.max_imag() <= 1e-8  # Hermitian data collapses to the real axis
+    # Hermitian data collapses to the real axis
+    assert max(abs(z.imag) for z in nr.boundary) <= 1e-8
     nr8 = gm.numerical_range_bound(H, 8, 64)
     assert nr.contains(nr8, tol=1e-9)

@@ -66,7 +66,7 @@ def test_monodromy_catalan():
 
 def test_monodromy_degree_two_block():
     pg = _chebyshev_squared_period()
-    v11, v12, v21, v22 = pg.entry_values(1.0)
+    v11, v12, v21, v22 = (w(1.0) for row in pg.T for w in row)
     assert v11 == pytest.approx(0.0)
     assert v12 == pytest.approx(-2.0)
     assert v21 == pytest.approx(0.5)
@@ -121,7 +121,7 @@ def test_monodromy_is_the_normalized_pair_with_unit_determinant():
         for _ in range(3):
             lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             P, Q = polyrec.normalized_values(pf, lam, s)
-            v11, v12, v21, v22 = pg.entry_values(lam)
+            v11, v12, v21, v22 = (w(lam) for row in pg.T for w in row)
             assert v11 == pytest.approx(-eps * b * Q[s - 1], rel=1e-10)
             assert v12 == pytest.approx(-Q[s], rel=1e-10)
             assert v21 == pytest.approx(eps * b * P[s - 1], rel=1e-10)
@@ -142,8 +142,8 @@ def test_multipliers_product_and_sum(rng):
 
 
 def test_multipliers_evaluate_the_trace_as_scan_does():
-    # both evaluate the trace with np.polyval, so the multiplier is the
-    # scan's at every grid point, to the bit
+    # both evaluate the trace with Polynomial.__call__ in numpy's arithmetic,
+    # so the multiplier is the scan's at every grid point, to the bit
     rng = random.Random(5)
     for _ in range(40):
         pg = periodic.PeriodicGJM(random_pfraction(rng, rng.randint(1, 4), 3).terms)
@@ -152,6 +152,24 @@ def test_multipliers_evaluate_the_trace_as_scan_does():
             for c in range(15):
                 want = complex(periodic._larger_root(sc.trace_values[r, c]))
                 assert periodic.multipliers(pg, sc.points[r, c])[0] == want
+
+
+def test_scan_evaluates_the_trace_and_its_slope_as_numpy_does(monkeypatch):
+    # the trace values, and the slope that widens tol, equal numpy's polyval
+    # and polyder of the trace to the bit; _in_e is spied on for the slack
+    seen = []
+    in_e = periodic._in_e
+    monkeypatch.setattr(periodic, "_in_e", lambda t, slack: seen.append(slack) or in_e(t, slack))
+    rng = random.Random(31)
+    for _ in range(40):
+        pg = periodic.PeriodicGJM(random_pfraction(rng, rng.randint(1, 4), 3).terms)
+        seen.clear()
+        sc = periodic.scan(pg, (-3, 3, -2.5, 2.5), 17, 13, 1e-3)
+        high_to_low = np.array(pg.trace.coeffs[::-1])
+        assert np.array_equal(sc.trace_values, np.polyval(high_to_low, sc.points))
+        half_diag = 0.5 * math.hypot(6 / 16, 5 / 12)
+        slope = np.polyval(np.polyder(high_to_low), sc.points)
+        assert len(seen) == 1 and np.array_equal(seen[0], 1e-3 + np.abs(slope) * half_diag)
 
 
 def test_multipliers_match_scan_moduli():
